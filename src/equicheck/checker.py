@@ -11,19 +11,26 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dataflow import summarize_segment, used_before_def
 from .encoder import EquivalenceTask, build_task
-from .errors import EquicheckError
 from .parser import SourceFile
 from .segments import validate_replacement
-from .semantics import (DataState, Execution, step, violates_assertion)
-from .syntax import Empty, Program, pretty_print, vars_of
+from .semantics import (DataState, Execution, initial_states, step,
+                        violates_assertion)
+from .syntax import Empty, Program, vars_of
 
 
 @dataclass(frozen=True)
 class CheckConfig:
+    """Bounds of one exploration.
+
+    Initial values range over domain_lo..domain_hi.  No run is followed
+    beyond max_steps steps (the breadth-first depth bound), and at most
+    max_states configurations are visited from one initial state, the start
+    included; the oracle spends that budget once per program.
+    """
     domain_lo: int = -2
     domain_hi: int = 2
     max_steps: int = 2000
@@ -87,90 +94,72 @@ class Unknown:
 EquivVerdict = Equivalent | Inequivalent | Unknown
 
 
-def _initial_states(names, domain):
-    names = sorted(set(names))
-    if not names:
-        yield DataState()
-        return
-    import itertools
-    for combo in itertools.product(domain, repeat=len(names)):
-        yield DataState(dict(zip(names, combo)))
+# ---------------------------------------------------------------------------
+# Exploration
+
+def _explore(prog: Program, sigma0: DataState, cfg: CheckConfig,
+             find_violation: bool):
+    """Breadth-first search of the configurations reachable from
+    (prog, sigma0), in the successor order of `step`.
+
+    With `find_violation`, stops at the first configuration that violates
+    an assertion.  Returns (trace, terminals, stop): trace is the
+    minimal-length execution reaching that configuration, or None;
+    terminals holds the data states of normally terminated runs; stop is
+    None after a complete search, "steps" if some run was cut at
+    cfg.max_steps, and "states" if more than cfg.max_states configurations
+    would have been visited.
+    """
+    if find_violation and violates_assertion(prog, sigma0):
+        return Execution(prog, sigma0), set(), None
+    start = (prog, sigma0)
+    parents: dict = {start: None}   # configuration -> (parent, op) if tracing
+    queue = deque([(start, 0)])
+    terminals = set()
+    stop = None
+    while queue:
+        config, depth = queue.popleft()
+        if isinstance(config[0], Empty):
+            terminals.add(config[1])
+            continue
+        successors = step(*config)
+        if depth >= cfg.max_steps:
+            if successors:
+                stop = "steps"
+            continue
+        for op, prog2, sigma2 in successors:
+            succ = (prog2, sigma2)
+            if succ in parents:
+                continue
+            parents[succ] = (config, op) if find_violation else None
+            if len(parents) > cfg.max_states:
+                return None, terminals, "states"
+            if find_violation and violates_assertion(prog2, sigma2):
+                steps = []
+                while parents[succ] is not None:
+                    prev, via = parents[succ]
+                    steps.append((via, *succ))
+                    succ = prev
+                return Execution(prog, sigma0, tuple(reversed(steps))), terminals, stop
+            queue.append((succ, depth + 1))
+    return None, terminals, stop
 
 
 # ---------------------------------------------------------------------------
 # Task checking
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _StateBudget:
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, n: int = 1):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise _BudgetExceeded()
-
-
-def _search_violation(prog: Program, sigma0: DataState, cfg: CheckConfig,
-                      budget: _StateBudget):
-    """Breadth-first search from one initial state.
-
-    Returns (trace | None, truncated).  The trace, if any, is the
-    minimal-length execution reaching a violating configuration.
-    """
-    start = (prog, sigma0)
-    if violates_assertion(prog, sigma0):
-        return Execution(prog, sigma0), False
-    parents: dict = {start: None}
-    budget.spend()
-    queue = deque([(start, 0)])
-    truncated = False
-    while queue:
-        config, depth = queue.popleft()
-        if depth >= cfg.max_steps:
-            if step(*config):
-                truncated = True
-            continue
-        for op, prog2, sigma2 in step(*config):
-            succ = (prog2, sigma2)
-            if succ in parents:
-                continue
-            parents[succ] = (config, op)
-            budget.spend()
-            if violates_assertion(prog2, sigma2):
-                return _rebuild_trace(prog, sigma0, succ, parents), truncated
-            queue.append((succ, depth + 1))
-    return None, truncated
-
-
-def _rebuild_trace(prog, sigma0, config, parents) -> Execution:
-    steps = []
-    while parents[config] is not None:
-        prev, op = parents[config]
-        steps.append((op, config[0], config[1]))
-        config = prev
-    return Execution(prog, sigma0, tuple(reversed(steps)))
-
-
 def check_program(prog: Program, cfg: CheckConfig) -> Verdict:
     """Verdict for a bare task program: enumerate initial values for its
     used-before-definition variables (others pinned to 0) and explore every
-    reachable configuration."""
-    inputs = used_before_def(prog)
-    budget = _StateBudget(cfg.max_states)
+    reachable configuration from each."""
     complete = True
-    for sigma0 in _initial_states(inputs, cfg.domain):
-        try:
-            trace, truncated = _search_violation(prog, sigma0, cfg, budget)
-        except _BudgetExceeded:
+    for sigma0 in initial_states(used_before_def(prog), cfg.domain):
+        trace, _, stop = _explore(prog, sigma0, cfg, find_violation=True)
+        if stop == "states":
             return ResourceExhausted()
         if trace is not None:
             return Violation(initial=sigma0, trace=trace)
-        if truncated:
-            complete = False
+        complete = complete and stop is None
     return NoViolation(complete=complete)
 
 
@@ -181,31 +170,6 @@ def check_task(task: EquivalenceTask, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # Brute-force partial-equivalence oracle
 
-def _terminal_states(prog: Program, sigma0: DataState, cfg: CheckConfig):
-    """(terminal states of normally terminating runs, truncated flag)."""
-    visited = {(prog, sigma0)}
-    queue = deque([((prog, sigma0), 0)])
-    terminals = set()
-    truncated = False
-    while queue:
-        config, depth = queue.popleft()
-        if isinstance(config[0], Empty):
-            terminals.add(config[1])
-            continue
-        successors = step(*config)
-        if depth >= cfg.max_steps and successors:
-            truncated = True
-            continue
-        for _, prog2, sigma2 in successors:
-            succ = (prog2, sigma2)
-            if succ not in visited:
-                visited.add(succ)
-                if len(visited) > cfg.max_states:
-                    return terminals, True
-                queue.append((succ, depth + 1))
-    return terminals, truncated
-
-
 def oracle_partial_equiv(s1: Program, s2: Program, outputs,
                          cfg: CheckConfig) -> EquivVerdict:
     """Exhaustive check of partial equivalence w.r.t. the output variables:
@@ -214,10 +178,10 @@ def oracle_partial_equiv(s1: Program, s2: Program, outputs,
     outputs = sorted(set(outputs))
     names = vars_of(s1) | vars_of(s2) | set(outputs)
     any_truncated = False
-    for sigma0 in _initial_states(names, cfg.domain):
-        t1, trunc1 = _terminal_states(s1, sigma0, cfg)
-        t2, trunc2 = _terminal_states(s2, sigma0, cfg)
-        any_truncated = any_truncated or trunc1 or trunc2
+    for sigma0 in initial_states(names, cfg.domain):
+        _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False)
+        _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False)
+        any_truncated = any_truncated or stop1 is not None or stop2 is not None
         for var in outputs:
             values1 = sorted({sigma[var] for sigma in t1})
             values2 = sorted({sigma[var] for sigma in t2})

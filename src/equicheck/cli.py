@@ -13,7 +13,7 @@ from .checker import (CheckConfig, Equivalent, Inequivalent, NoViolation,
                       verify_pair)
 from .emit_c import emit_c
 from .errors import EquicheckError, ParseError
-from .parser import parse, parse_program
+from .parser import parse
 from .segments import extract_segments
 from .dataflow import summarize_segment
 
@@ -56,9 +56,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="inclusive range of enumerated initial values "
                             "(default -2..2)")
         p.add_argument("--max-steps", type=int, default=2000, metavar="N",
-                       help="per-execution step budget (default 2000)")
+                       help="breadth-first depth bound: steps per run "
+                            "(default 2000)")
         p.add_argument("--max-states", type=int, default=200000, metavar="N",
-                       help="visited-configuration budget (default 200000)")
+                       help="configurations visited per initial state, per "
+                            "program for oracle (default 200000)")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON to stdout")
         p.add_argument("--outputs", type=_parse_outputs, metavar="V1,V2",
@@ -97,7 +99,7 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return parse(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EquicheckError("cannot read %s: %s" % (path, exc))
     except ParseError as exc:
         raise EquicheckError("%s: %s" % (path, exc))
@@ -280,6 +282,10 @@ def main(argv=None) -> int:
     except EquicheckError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash is not a verdict: no 0 or 1 exit
+        print("error: internal error (%s): %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

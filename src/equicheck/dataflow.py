@@ -8,14 +8,13 @@ on small programs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import IncompleteExploration, UnknownSegment
 from .parser import SourceFile
-from .semantics import DataState, executions, syntactic_paths
+from .semantics import EMPTY_STATE, SYNTACTIC, executions, initial_states
 from .syntax import (Assert, Assign, Empty, If, Par, Program, Seq, While,
-                     vars_of, vars_of_expr)
+                     nodes, vars_of, vars_of_expr)
 
 
 @dataclass(frozen=True)
@@ -41,24 +40,7 @@ class UsageSummary:
 
 def modified_vars(prog: Program) -> frozenset[str]:
     """Assignment left-hand sides anywhere in the program."""
-    if isinstance(prog, Empty):
-        return frozenset()
-    if isinstance(prog, Assign):
-        return frozenset({prog.var})
-    if isinstance(prog, Assert):
-        return frozenset()
-    if isinstance(prog, If):
-        return modified_vars(prog.then_branch) | modified_vars(prog.else_branch)
-    if isinstance(prog, While):
-        return modified_vars(prog.body)
-    if isinstance(prog, Seq):
-        return modified_vars(prog.first) | modified_vars(prog.rest)
-    if isinstance(prog, Par):
-        result: frozenset[str] = frozenset()
-        for branch in prog.branches:
-            result |= modified_vars(branch)
-        return result
-    raise TypeError("not a program: %r" % (prog,))
+    return frozenset(node.var for node in nodes(prog) if isinstance(node, Assign))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +192,6 @@ def summarize_program(prog: Program, live_after: frozenset[str],
 # ---------------------------------------------------------------------------
 # Bounded semantic oracles (validation only)
 
-def initial_states(names, domain) -> list[DataState]:
-    """All assignments of domain values to the given variables, sorted order."""
-    names = sorted(set(names))
-    values = list(domain)
-    states = []
-    for combo in itertools.product(values, repeat=len(names)):
-        states.append(DataState(dict(zip(names, combo))))
-    return states
-
-
 def modified_vars_oracle(prog: Program, domain, max_steps: int) -> frozenset[str]:
     """Variables whose value differs from the initial one in some reachable
     state, over all initial states drawn from the domain."""
@@ -270,11 +242,11 @@ def _live_at_oracle(prog: Program, outputs: frozenset[str],
     """Path-based liveness at the entry of `prog`: a variable is live if some
     syntactic path uses it before assigning it, or reaches the empty program
     without assigning it while it is an output."""
-    paths, complete = syntactic_paths(prog, max_steps)
+    paths, complete = executions(prog, EMPTY_STATE, max_steps, SYNTACTIC)
     live: set[str] = set()
     for path in paths:
         assigned: set[str] = set()
-        for op, _ in path.steps:
+        for op, _, _ in path.steps:
             live.update(op.used_vars() - assigned)
             target = op.assigned_var()
             if target is not None:
@@ -291,7 +263,7 @@ def live_after_oracle(source: SourceFile, segment_id: int,
     segment (possibly followed by a continuation), take the path-based live
     set of the continuation."""
     body = _segment_body(source, segment_id)
-    paths, complete = syntactic_paths(source.program, max_steps)
+    paths, complete = executions(source.program, EMPTY_STATE, max_steps, SYNTACTIC)
     live: set[str] = set()
     configs = {source.program} | {path.final_program for path in paths}
     for config in configs:

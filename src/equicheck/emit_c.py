@@ -18,9 +18,10 @@ def emit_c(prog: Program, name: str = "task") -> str:
         "",
         "void %s(void) {" % name,
     ]
-    for var in sorted(vars_of(prog)):
+    names = sorted(vars_of(prog))
+    for var in names:
         lines.append("  long long %s = 0;" % var)
-    if vars_of(prog):
+    if names:
         lines.append("")
     _emit(prog, lines, 1)
     lines.append("}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .dataflow import UsageSummary
 from .errors import RenamingValidationFailed
-from .syntax import (Assert, Assign, Cmp, Empty, EMPTY, If, Par, Program,
-                     RenamingFn, Seq, Var, While, pretty_print, relabel,
+from .syntax import (Assert, Assign, Cmp, EMPTY, Program, RenamingFn, Seq,
+                     Var, While, map_program, pretty_print, relabel,
                      rename_program, seq_of, vars_of)
 
 
@@ -92,21 +92,12 @@ def equal_block(rho: RenamingFn, names: tuple[str, ...]) -> Program:
 def neutralize_asserts(prog: Program) -> Program:
     """Rewrite assert b into `while (b) {}` so the task cannot fail inside
     the copied subprograms themselves."""
-    if isinstance(prog, Assert):
-        return While(prog.label, prog.cond, EMPTY)
-    if isinstance(prog, (Empty, Assign)):
-        return prog
-    if isinstance(prog, If):
-        return If(prog.label, prog.cond,
-                  neutralize_asserts(prog.then_branch),
-                  neutralize_asserts(prog.else_branch))
-    if isinstance(prog, While):
-        return While(prog.label, prog.cond, neutralize_asserts(prog.body))
-    if isinstance(prog, Seq):
-        return Seq(neutralize_asserts(prog.first), neutralize_asserts(prog.rest))
-    if isinstance(prog, Par):
-        return Par(tuple(neutralize_asserts(b) for b in prog.branches))
-    raise TypeError("not a program: %r" % (prog,))
+    def neutralize(node):
+        if isinstance(node, Assert):
+            return While(node.label, node.cond, EMPTY), False
+        return node, True
+
+    return map_program(prog, neutralize)
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,8 @@ def build_task(s1: Program, s2: Program, summary1: UsageSummary,
 
     init_set = (u1 & u2) & (m1 | m2)
     check_set = (m1 | m2) & (l1 | l2)
-    switch = fresh_switch(m1 | m2, vars_of(s1) | vars_of(s2))
+    v1, v2 = vars_of(s1), vars_of(s2)
+    switch = fresh_switch(m1 | m2, v1 | v2)
     rho = build_rho_switch(switch)
 
     violations = validate_renaming(rho, s1, s2, m1, m2, init_set)
@@ -172,7 +164,7 @@ def build_task(s1: Program, s2: Program, summary1: UsageSummary,
                        equal_block(rho, to_seq(check_set)))))
     task = relabel(task)
 
-    shared = (vars_of(s1) & vars_of(s2)) - (m1 | m2)
+    shared = (v1 & v2) - (m1 | m2)
     return EquivalenceTask(
         task=task,
         rho=rho,

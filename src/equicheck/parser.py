@@ -17,11 +17,12 @@ metadata on the returned SourceFile.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DuplicateSegmentId, ParseError, SegmentInsidePar
 from .syntax import (Assert, Assign, BinOp, BoolLit, BoolOp, Cmp, If, IntLit,
-                     Neg, Not, Par, Program, Seq, Var, While, relabel, seq_of)
+                     Neg, Not, Par, Program, Var, While, nodes, relabel,
+                     seq_of)
 
 KEYWORDS = {"assert", "if", "else", "while", "par", "true", "false"}
 
@@ -316,16 +317,7 @@ def parse_program(text: str) -> Program:
 
 def _find_relabeled(original: Program, labeled: Program, target: Program) -> Program:
     """Locate in `labeled` the node at the same position as `target` in `original`."""
-    if original is target:
-        return labeled
-    for attr in ("first", "rest", "then_branch", "else_branch", "body"):
-        if hasattr(original, attr):
-            found = _find_relabeled(getattr(original, attr), getattr(labeled, attr), target)
-            if found is not None:
-                return found
-    if isinstance(original, Par):
-        for orig_branch, lab_branch in zip(original.branches, labeled.branches):
-            found = _find_relabeled(orig_branch, lab_branch, target)
-            if found is not None:
-                return found
+    for node, relabeled in zip(nodes(original), nodes(labeled)):
+        if node is target:
+            return relabeled
     return None

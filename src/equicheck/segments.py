@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .errors import (ContextMismatch, DuplicateSegmentId, EmptySegment,
                      NestedSegments, SegmentIdMismatch, SegmentInsidePar)
 from .parser import SourceFile
-from .syntax import (Assert, Assign, Empty, If, Par, Program, Seq, While,
-                     contains, pretty_print, stmts_of, substitute)
+from .syntax import (Empty, Par, Program, contains, nodes, skeleton, stmts_of,
+                     substitute)
 
 
 @dataclass(frozen=True)
@@ -56,40 +56,9 @@ def extract_segments(source: SourceFile) -> SegmentTable:
 
 
 def _inside_par(prog: Program, target: Program) -> bool:
-    if isinstance(prog, (Empty, Assign, Assert)):
-        return False
-    if isinstance(prog, Par):
-        return any(contains(b, target) for b in prog.branches)
-    if isinstance(prog, If):
-        return _inside_par(prog.then_branch, target) or _inside_par(prog.else_branch, target)
-    if isinstance(prog, While):
-        return _inside_par(prog.body, target)
-    if isinstance(prog, Seq):
-        return _inside_par(prog.first, target) or _inside_par(prog.rest, target)
-    raise TypeError("not a program: %r" % (prog,))
-
-
-def _residue(prog: Program, bodies: dict[int, Program]):
-    """Label-free structure with segment bodies collapsed to their ids."""
-    for seg_id, body in bodies.items():
-        if prog == body:
-            return ("segment", seg_id)
-    if isinstance(prog, Empty):
-        return ("empty",)
-    if isinstance(prog, Assign):
-        return ("assign", prog.var, prog.expr)
-    if isinstance(prog, Assert):
-        return ("assert", prog.cond)
-    if isinstance(prog, If):
-        return ("if", prog.cond, _residue(prog.then_branch, bodies),
-                _residue(prog.else_branch, bodies))
-    if isinstance(prog, While):
-        return ("while", prog.cond, _residue(prog.body, bodies))
-    if isinstance(prog, Seq):
-        return ("seq", _residue(prog.first, bodies), _residue(prog.rest, bodies))
-    if isinstance(prog, Par):
-        return ("par", tuple(_residue(b, bodies) for b in prog.branches))
-    raise TypeError("not a program: %r" % (prog,))
+    return any(contains(branch, target)
+               for node in nodes(prog) if isinstance(node, Par)
+               for branch in node.branches)
 
 
 def validate_replacement(original: SourceFile, modified: SourceFile) -> ReplacementMap:
@@ -100,43 +69,28 @@ def validate_replacement(original: SourceFile, modified: SourceFile) -> Replacem
     if table1.ids() != table2.ids():
         raise SegmentIdMismatch("segment ids differ: %s vs %s"
                                 % (table1.ids(), table2.ids()))
-    # Strip labels from residues by comparing label-free structures.
-    res1 = _strip_labels(_residue(original.program, table1.bodies))
-    res2 = _strip_labels(_residue(modified.program, table2.bodies))
-    if res1 != res2:
+    context1 = skeleton(original.program, table1.bodies)
+    context2 = skeleton(modified.program, table2.bodies)
+    if context1 != context2:
         raise ContextMismatch("programs differ outside the marked segments: %s"
-                              % _first_difference(res1, res2))
+                              % _first_difference(context1, context2))
     pairs = tuple(ReplacementPair(i, table1.bodies[i], table2.bodies[i])
                   for i in table1.ids())
     return ReplacementMap(pairs)
 
 
-def _strip_labels(residue):
-    # Residues embed expressions, which carry no labels; sequences may nest
-    # differently only through segment bodies, already collapsed.  Normalize
-    # seq nesting so "a; (b; c)" and "(a; b); c" compare equal.
-    if isinstance(residue, tuple) and residue and residue[0] == "seq":
-        flat = []
-        for part in residue[1:]:
-            part = _strip_labels(part)
-            if isinstance(part, tuple) and part and part[0] == "seq":
-                flat.extend(part[1:])
-            elif part != ("empty",):
-                flat.append(part)
-        return ("seq", *flat)
-    if isinstance(residue, tuple):
-        return tuple(_strip_labels(p) if isinstance(p, tuple) else p for p in residue)
-    return residue
-
-
-def _first_difference(res1, res2) -> str:
-    if isinstance(res1, tuple) and isinstance(res2, tuple) and res1[:1] == res2[:1]:
-        for part1, part2 in zip(res1[1:], res2[1:]):
+def _first_difference(form1, form2) -> str:
+    """The first statements at which two skeletons differ."""
+    if form1[0] == form2[0] and form1[0] in ("seq", "par"):
+        for part1, part2 in zip(form1[1], form2[1]):
             if part1 != part2:
                 return _first_difference(part1, part2)
-        if len(res1) != len(res2):
-            return "statement counts differ (%d vs %d)" % (len(res1) - 1, len(res2) - 1)
-    return "%r vs %r" % (res1, res2)
+        return "statement counts differ (%d vs %d)" % (len(form1[1]), len(form2[1]))
+    if form1[:2] == form2[:2] and form1[0] in ("if", "while"):
+        for part1, part2 in zip(form1[2:], form2[2:]):
+            if part1 != part2:
+                return _first_difference(part1, part2)
+    return "%r vs %r" % (form1, form2)
 
 
 def apply_replacement(original: SourceFile, replacement: ReplacementMap) -> Program:

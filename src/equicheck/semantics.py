@@ -8,8 +8,9 @@ the configuration stuck (and flagged by `violates_assertion`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .syntax import (AExpr, Assert, Assign, BExpr, BinOp, BoolLit, BoolOp,
                      Cmp, Empty, EMPTY, If, IntLit, Neg, Not, Par, Program,
@@ -74,6 +75,14 @@ EMPTY_STATE = DataState()
 def rename_state(sigma: DataState, rho: RenamingFn) -> DataState:
     """rho(sigma): the renamed state satisfies rho(sigma)(v) = sigma(rho^-1(v))."""
     return DataState({rho(name): val for name, val in sigma.as_dict().items()})
+
+
+def initial_states(names, domain) -> Iterator[DataState]:
+    """Every assignment of domain values to the given variables, in sorted
+    variable order with ascending values; all other variables are 0."""
+    names = sorted(set(names))
+    for combo in itertools.product(domain, repeat=len(names)):
+        yield DataState(dict(zip(names, combo)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +167,62 @@ class ExecStep:
 NOP = ExecStep("nop")
 
 
-def step(prog: Program, sigma: DataState) -> list[tuple[ExecStep, Program, DataState]]:
+class Evaluator(NamedTuple):
+    """How `step` computes values: `value(sigma, aexpr)` is the value an
+    assignment stores, `outcomes(sigma, bexpr)` the guard outcomes to follow,
+    true before false."""
+    value: Callable[[DataState, AExpr], int]
+    outcomes: Callable[[DataState, BExpr], tuple[bool, ...]]
+
+
+def _syntactic_outcomes(sigma: DataState, cond: BExpr) -> tuple[bool, ...]:
+    if vars_of_expr(cond):
+        return (True, False)
+    return (eval_bexpr(EMPTY_STATE, cond),)
+
+
+# Evaluates in the data state: the operational semantics.
+CONCRETE = Evaluator(eval_aexpr, lambda sigma, cond: (eval_bexpr(sigma, cond),))
+
+# Quantifies over data states: a guard with variables may go either way,
+# variable-free guards are decided exactly, and every assignment stores 0.
+# This overapproximates the paths of the program for guards that contain
+# variables but cannot hold, which is sound for the analyses that use it.
+SYNTACTIC = Evaluator(lambda sigma, expr: 0, _syntactic_outcomes)
+
+
+def step(prog: Program, sigma: DataState,
+         evaluator: Evaluator = CONCRETE) -> list[tuple[ExecStep, Program, DataState]]:
     """All successors of (prog, sigma); empty for terminal or stuck configurations."""
     if isinstance(prog, Empty):
         return []
     if isinstance(prog, Assign):
-        value = eval_aexpr(sigma, prog.expr)
+        value = evaluator.value(sigma, prog.expr)
         op = ExecStep("assign", var=prog.var, aexpr=prog.expr)
         return [(op, EMPTY, sigma.set(prog.var, value))]
     if isinstance(prog, Assert):
-        if eval_bexpr(sigma, prog.cond):
+        if True in evaluator.outcomes(sigma, prog.cond):
             return [(ExecStep("guard", bexpr=prog.cond), EMPTY, sigma)]
         return []  # stuck: assertion violated
     if isinstance(prog, If):
-        if eval_bexpr(sigma, prog.cond):
-            return [(ExecStep("guard", bexpr=prog.cond), prog.then_branch, sigma)]
-        return [(ExecStep("guard", bexpr=prog.cond, negated=True),
-                 prog.else_branch, sigma)]
+        return [(ExecStep("guard", bexpr=prog.cond, negated=not holds),
+                 prog.then_branch if holds else prog.else_branch, sigma)
+                for holds in evaluator.outcomes(sigma, prog.cond)]
     if isinstance(prog, While):
-        if eval_bexpr(sigma, prog.cond):
-            return [(ExecStep("guard", bexpr=prog.cond), Seq(prog.body, prog), sigma)]
-        return [(ExecStep("guard", bexpr=prog.cond, negated=True), EMPTY, sigma)]
+        return [(ExecStep("guard", bexpr=prog.cond, negated=not holds),
+                 Seq(prog.body, prog) if holds else EMPTY, sigma)
+                for holds in evaluator.outcomes(sigma, prog.cond)]
     if isinstance(prog, Seq):
         if isinstance(prog.first, Empty):
             return [(NOP, prog.rest, sigma)]
         return [(op, Seq(first2, prog.rest), sigma2)
-                for op, first2, sigma2 in step(prog.first, sigma)]
+                for op, first2, sigma2 in step(prog.first, sigma, evaluator)]
     if isinstance(prog, Par):
         if all(isinstance(b, Empty) for b in prog.branches):
             return [(NOP, EMPTY, sigma)]
         successors = []
         for i, branch in enumerate(prog.branches):
-            for op, branch2, sigma2 in step(branch, sigma):
+            for op, branch2, sigma2 in step(branch, sigma, evaluator):
                 branches = prog.branches[:i] + (branch2,) + prog.branches[i + 1:]
                 successors.append((op, Par(branches), sigma2))
         return successors
@@ -244,13 +277,15 @@ class Execution:
                   for op, p, s in self.steps))
 
 
-def executions(prog: Program, sigma0: DataState,
-               max_steps: int) -> tuple[list[Execution], bool]:
+def executions(prog: Program, sigma0: DataState, max_steps: int,
+               evaluator: Evaluator = CONCRETE) -> tuple[list[Execution], bool]:
     """All executions from (prog, sigma0) of length <= max_steps.
 
     The returned list is prefix-closed (every prefix of an execution is an
     execution).  The flag is True iff no execution was cut off by the bound,
-    i.e. every maximal execution ended terminal or stuck within it.
+    i.e. every maximal execution ended terminal or stuck within it.  With
+    the SYNTACTIC evaluator the executions are the program's syntactic
+    paths, and every state in them is the empty one.
     """
     results: list[Execution] = []
     complete = True
@@ -258,7 +293,7 @@ def executions(prog: Program, sigma0: DataState,
     def walk(execution: Execution):
         nonlocal complete
         results.append(execution)
-        successors = step(execution.final_program, execution.final_state)
+        successors = step(execution.final_program, execution.final_state, evaluator)
         if not successors:
             return
         if len(execution) >= max_steps:
@@ -268,102 +303,4 @@ def executions(prog: Program, sigma0: DataState,
             walk(execution.extend(op, prog2, sigma2))
 
     walk(Execution(prog, sigma0))
-    return results, complete
-
-
-# ---------------------------------------------------------------------------
-# Syntactic paths
-
-def _const_bool(expr: BExpr) -> bool | None:
-    """Evaluate a variable-free boolean expression; None if it has variables."""
-    if vars_of_expr(expr):
-        return None
-    return eval_bexpr(EMPTY_STATE, expr)
-
-
-def syntactic_step(prog: Program) -> list[tuple[ExecStep, Program]]:
-    """Successors quantified existentially over data states.
-
-    A guard with variables is treated as satisfiable in both polarities;
-    variable-free guards are decided exactly.  This overapproximates the
-    ideal relation for guards that contain variables but are unsatisfiable,
-    which is sound for the analyses that consume syntactic paths.
-    """
-    if isinstance(prog, Empty):
-        return []
-    if isinstance(prog, Assign):
-        return [(ExecStep("assign", var=prog.var, aexpr=prog.expr), EMPTY)]
-    if isinstance(prog, Assert):
-        if _const_bool(prog.cond) is False:
-            return []
-        return [(ExecStep("guard", bexpr=prog.cond), EMPTY)]
-    if isinstance(prog, If):
-        value = _const_bool(prog.cond)
-        successors = []
-        if value is not False:
-            successors.append((ExecStep("guard", bexpr=prog.cond), prog.then_branch))
-        if value is not True:
-            successors.append((ExecStep("guard", bexpr=prog.cond, negated=True),
-                               prog.else_branch))
-        return successors
-    if isinstance(prog, While):
-        value = _const_bool(prog.cond)
-        successors = []
-        if value is not False:
-            successors.append((ExecStep("guard", bexpr=prog.cond), Seq(prog.body, prog)))
-        if value is not True:
-            successors.append((ExecStep("guard", bexpr=prog.cond, negated=True), EMPTY))
-        return successors
-    if isinstance(prog, Seq):
-        if isinstance(prog.first, Empty):
-            return [(NOP, prog.rest)]
-        return [(op, Seq(first2, prog.rest))
-                for op, first2 in syntactic_step(prog.first)]
-    if isinstance(prog, Par):
-        if all(isinstance(b, Empty) for b in prog.branches):
-            return [(NOP, EMPTY)]
-        successors = []
-        for i, branch in enumerate(prog.branches):
-            for op, branch2 in syntactic_step(branch):
-                branches = prog.branches[:i] + (branch2,) + prog.branches[i + 1:]
-                successors.append((op, Par(branches)))
-        return successors
-    raise TypeError("not a program: %r" % (prog,))
-
-
-@dataclass(frozen=True)
-class SyntacticPath:
-    initial_program: Program
-    steps: tuple[tuple[ExecStep, Program], ...] = ()
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def final_program(self) -> Program:
-        return self.steps[-1][1] if self.steps else self.initial_program
-
-    def extend(self, op: ExecStep, prog: Program) -> "SyntacticPath":
-        return SyntacticPath(self.initial_program, self.steps + ((op, prog),))
-
-
-def syntactic_paths(prog: Program, max_steps: int) -> tuple[list[SyntacticPath], bool]:
-    """All syntactic paths of length <= max_steps, prefix-closed, plus a
-    completeness flag (False iff some path was cut off by the bound)."""
-    results: list[SyntacticPath] = []
-    complete = True
-
-    def walk(path: SyntacticPath):
-        nonlocal complete
-        results.append(path)
-        successors = syntactic_step(path.final_program)
-        if not successors:
-            return
-        if len(path) >= max_steps:
-            complete = False
-            return
-        for op, prog2 in successors:
-            walk(path.extend(op, prog2))
-
-    walk(SyntacticPath(prog))
     return results, complete

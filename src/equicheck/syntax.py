@@ -10,7 +10,8 @@ subprograms unambiguously and survive variable renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Union
 
 
@@ -151,6 +152,61 @@ def stmts_of(prog: Program) -> list[Program]:
 
 
 # ---------------------------------------------------------------------------
+# Tree walking
+
+def children(prog: Program) -> tuple[Program, ...]:
+    """The direct subprograms of `prog`, first to last."""
+    if isinstance(prog, Seq):
+        return (prog.first, prog.rest)
+    if isinstance(prog, If):
+        return (prog.then_branch, prog.else_branch)
+    if isinstance(prog, While):
+        return (prog.body,)
+    if isinstance(prog, Par):
+        return prog.branches
+    if isinstance(prog, (Empty, Assign, Assert)):
+        return ()
+    raise TypeError("not a program: %r" % (prog,))
+
+
+def nodes(prog: Program) -> Iterator[Program]:
+    """Every subprogram of `prog`, itself first, in preorder.
+
+    Iterative, so spines of any length are fine."""
+    stack = [prog]
+    while stack:
+        node = stack.pop()
+        yield node
+        # Sequences and leaves are most of a tree: skip the call for them.
+        if isinstance(node, Seq):
+            stack += (node.rest, node.first)
+        elif not isinstance(node, (Empty, Assign, Assert)):
+            stack.extend(reversed(children(node)))
+
+
+def map_program(prog: Program, fn) -> Program:
+    """Rebuild `prog` top-down, first child to last (preorder).
+
+    `fn(node)` returns `(new, descend)`: `new` takes the place of `node`,
+    and when `descend` is true the children of `new` are rebuilt the same
+    way.  Recurses once per nesting level, as deep as the tree.
+    """
+    new, descend = fn(prog)
+    if not descend or isinstance(new, (Empty, Assign, Assert)):
+        return new
+    if isinstance(new, Seq):
+        return Seq(map_program(new.first, fn), map_program(new.rest, fn))
+    if isinstance(new, If):
+        return If(new.label, new.cond, map_program(new.then_branch, fn),
+                  map_program(new.else_branch, fn))
+    if isinstance(new, While):
+        return While(new.label, new.cond, map_program(new.body, fn))
+    if isinstance(new, Par):
+        return Par(tuple(map_program(b, fn) for b in new.branches))
+    raise TypeError("not a program: %r" % (new,))
+
+
+# ---------------------------------------------------------------------------
 # Variable collection
 
 def vars_of_expr(expr) -> frozenset[str]:
@@ -167,44 +223,19 @@ def vars_of_expr(expr) -> frozenset[str]:
 
 def vars_of(prog: Program) -> frozenset[str]:
     """All variables occurring in expressions or assignment targets."""
-    if isinstance(prog, Empty):
-        return frozenset()
-    if isinstance(prog, Assign):
-        return frozenset({prog.var}) | vars_of_expr(prog.expr)
-    if isinstance(prog, Assert):
-        return vars_of_expr(prog.cond)
-    if isinstance(prog, If):
-        return (vars_of_expr(prog.cond)
-                | vars_of(prog.then_branch) | vars_of(prog.else_branch))
-    if isinstance(prog, While):
-        return vars_of_expr(prog.cond) | vars_of(prog.body)
-    if isinstance(prog, Seq):
-        return vars_of(prog.first) | vars_of(prog.rest)
-    if isinstance(prog, Par):
-        result: frozenset[str] = frozenset()
-        for branch in prog.branches:
-            result |= vars_of(branch)
-        return result
-    raise TypeError("not a program: %r" % (prog,))
+    result: set[str] = set()
+    for node in nodes(prog):
+        if isinstance(node, Assign):
+            result.add(node.var)
+            result |= vars_of_expr(node.expr)
+        elif isinstance(node, (Assert, If, While)):
+            result |= vars_of_expr(node.cond)
+    return frozenset(result)
 
 
 def labels_of(prog: Program) -> list[int]:
-    if isinstance(prog, Empty):
-        return []
-    if isinstance(prog, (Assign, Assert)):
-        return [prog.label]
-    if isinstance(prog, If):
-        return [prog.label] + labels_of(prog.then_branch) + labels_of(prog.else_branch)
-    if isinstance(prog, While):
-        return [prog.label] + labels_of(prog.body)
-    if isinstance(prog, Seq):
-        return labels_of(prog.first) + labels_of(prog.rest)
-    if isinstance(prog, Par):
-        out: list[int] = []
-        for branch in prog.branches:
-            out.extend(labels_of(branch))
-        return out
-    raise TypeError("not a program: %r" % (prog,))
+    return [node.label for node in nodes(prog)
+            if isinstance(node, (Assign, Assert, If, While))]
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +319,14 @@ def rename_expr(expr, rho: RenamingFn):
 
 def rename_program(prog: Program, rho: RenamingFn) -> Program:
     """Replace every variable occurrence v by rho(v); labels are preserved."""
-    if isinstance(prog, Empty):
-        return prog
-    if isinstance(prog, Assign):
-        return Assign(prog.label, rho(prog.var), rename_expr(prog.expr, rho))
-    if isinstance(prog, Assert):
-        return Assert(prog.label, rename_expr(prog.cond, rho))
-    if isinstance(prog, If):
-        return If(prog.label, rename_expr(prog.cond, rho),
-                  rename_program(prog.then_branch, rho),
-                  rename_program(prog.else_branch, rho))
-    if isinstance(prog, While):
-        return While(prog.label, rename_expr(prog.cond, rho),
-                     rename_program(prog.body, rho))
-    if isinstance(prog, Seq):
-        return Seq(rename_program(prog.first, rho), rename_program(prog.rest, rho))
-    if isinstance(prog, Par):
-        return Par(tuple(rename_program(b, rho) for b in prog.branches))
-    raise TypeError("not a program: %r" % (prog,))
+    def rename(node):
+        if isinstance(node, Assign):
+            node = Assign(node.label, rho(node.var), rename_expr(node.expr, rho))
+        elif isinstance(node, (Assert, If, While)):
+            node = replace(node, cond=rename_expr(node.cond, rho))
+        return node, True
+
+    return map_program(prog, rename)
 
 
 # ---------------------------------------------------------------------------
@@ -313,52 +334,63 @@ def rename_program(prog: Program, rho: RenamingFn) -> Program:
 
 def relabel(prog: Program, start: int = 1) -> Program:
     """Assign fresh labels in preorder."""
-    counter = [start]
+    labels = itertools.count(start)
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+    def fresh(node):
+        if isinstance(node, (Seq, Empty, Par)):   # the unlabelled nodes
+            return node, True
+        if isinstance(node, Assign):
+            node = Assign(next(labels), node.var, node.expr)
+        elif isinstance(node, Assert):
+            node = Assert(next(labels), node.cond)
+        elif isinstance(node, If):
+            node = If(next(labels), node.cond, node.then_branch, node.else_branch)
+        elif isinstance(node, While):
+            node = While(next(labels), node.cond, node.body)
+        return node, True
 
-    def walk(p: Program) -> Program:
-        if isinstance(p, Empty):
-            return p
-        if isinstance(p, Assign):
-            return Assign(fresh(), p.var, p.expr)
-        if isinstance(p, Assert):
-            return Assert(fresh(), p.cond)
-        if isinstance(p, If):
-            label = fresh()
-            return If(label, p.cond, walk(p.then_branch), walk(p.else_branch))
-        if isinstance(p, While):
-            label = fresh()
-            return While(label, p.cond, walk(p.body))
-        if isinstance(p, Seq):
-            return Seq(walk(p.first), walk(p.rest))
-        if isinstance(p, Par):
-            return Par(tuple(walk(b) for b in p.branches))
-        raise TypeError("not a program: %r" % (p,))
-
-    return walk(prog)
+    return map_program(prog, fresh)
 
 
-def skeleton(prog: Program):
+def skeleton(prog: Program, segments: Mapping[int, Program] | None = None):
     """Canonical label-free form: nested sequences flattened, labels dropped.
 
-    Two programs are label-isomorphic iff their skeletons are equal.
+    Two programs are label-isomorphic iff their skeletons are equal.  Each
+    subprogram equal to a body in `segments` (id -> body) is collapsed to
+    ("segment", id) before sequences are flattened, so a segment body, itself
+    a nested sequence, stays one statement.
     """
+    seg_id = _segment_id(prog, segments)
+    if seg_id is not None:
+        return ("segment", seg_id)
     if isinstance(prog, Assign):
         return ("assign", prog.var, prog.expr)
     if isinstance(prog, Assert):
         return ("assert", prog.cond)
     if isinstance(prog, If):
-        return ("if", prog.cond, skeleton(prog.then_branch), skeleton(prog.else_branch))
+        return ("if", prog.cond, skeleton(prog.then_branch, segments),
+                skeleton(prog.else_branch, segments))
     if isinstance(prog, While):
-        return ("while", prog.cond, skeleton(prog.body))
+        return ("while", prog.cond, skeleton(prog.body, segments))
     if isinstance(prog, Par):
-        return ("par", tuple(skeleton(b) for b in prog.branches))
+        return ("par", tuple(skeleton(b, segments) for b in prog.branches))
     if isinstance(prog, (Empty, Seq)):
-        return ("seq", tuple(skeleton(s) for s in stmts_of(prog)))
+        stmts, stack = [], list(reversed(children(prog)))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Seq) and _segment_id(node, segments) is None:
+                stack += [node.rest, node.first]
+            elif not isinstance(node, Empty):
+                stmts.append(skeleton(node, segments))
+        return ("seq", tuple(stmts))
     raise TypeError("not a program: %r" % (prog,))
+
+
+def _segment_id(prog: Program, segments: Mapping[int, Program] | None) -> int | None:
+    for seg_id, body in (segments or {}).items():
+        if prog == body:
+            return seg_id
+    return None
 
 
 def label_isomorphic(a: Program, b: Program) -> bool:
@@ -367,39 +399,12 @@ def label_isomorphic(a: Program, b: Program) -> bool:
 
 def substitute(prog: Program, target: Program, replacement: Program) -> Program:
     """Replace every subprogram equal to `target` by `replacement`."""
-    if prog == target:
-        return replacement
-    if isinstance(prog, (Empty, Assign, Assert)):
-        return prog
-    if isinstance(prog, If):
-        return If(prog.label, prog.cond,
-                  substitute(prog.then_branch, target, replacement),
-                  substitute(prog.else_branch, target, replacement))
-    if isinstance(prog, While):
-        return While(prog.label, prog.cond,
-                     substitute(prog.body, target, replacement))
-    if isinstance(prog, Seq):
-        return Seq(substitute(prog.first, target, replacement),
-                   substitute(prog.rest, target, replacement))
-    if isinstance(prog, Par):
-        return Par(tuple(substitute(b, target, replacement) for b in prog.branches))
-    raise TypeError("not a program: %r" % (prog,))
+    return map_program(prog, lambda node: (replacement, False) if node == target
+                       else (node, True))
 
 
 def contains(prog: Program, target: Program) -> bool:
-    if prog == target:
-        return True
-    if isinstance(prog, (Empty, Assign, Assert)):
-        return False
-    if isinstance(prog, If):
-        return contains(prog.then_branch, target) or contains(prog.else_branch, target)
-    if isinstance(prog, While):
-        return contains(prog.body, target)
-    if isinstance(prog, Seq):
-        return contains(prog.first, target) or contains(prog.rest, target)
-    if isinstance(prog, Par):
-        return any(contains(b, target) for b in prog.branches)
-    raise TypeError("not a program: %r" % (prog,))
+    return any(node == target for node in nodes(prog))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ from equicheck.checker import (CheckConfig, Equivalent, Inequivalent,
                                NoViolation, ResourceExhausted, Unknown,
                                Violation, check_program, check_task,
                                build_tasks, oracle_partial_equiv, verify_pair)
-from equicheck.parser import parse_program
+from equicheck.emit_c import emit_c
+from equicheck.parser import parse, parse_program
 from equicheck.semantics import step, violates_assertion
+from equicheck.syntax import label_isomorphic
 
 import props
 
@@ -62,6 +64,27 @@ def test_state_budget_exhaustion():
     verdict = check_program(prog, CheckConfig(0, 0, max_steps=1000,
                                               max_states=50))
     assert isinstance(verdict, ResourceExhausted)
+
+
+def test_state_budget_is_per_initial_state():
+    # Each of the 125 initial states reaches 3 configurations, fewer than
+    # the budget of 10, though all of them together reach 375.
+    prog = parse_program("assert (a + b + c == a + b + c);")
+    cfg = CheckConfig(-2, 2, max_states=10)
+    assert check_program(prog, cfg) == NoViolation(complete=True)
+    assert oracle_partial_equiv(prog, prog, {"a"}, cfg) == Equivalent(complete=True)
+
+
+@pytest.mark.parametrize("max_states, verdict, oracle", [
+    (7, NoViolation(complete=True), Equivalent(complete=True)),
+    (6, ResourceExhausted(), Unknown()),
+])
+def test_state_budget_counts_the_start(max_states, verdict, oracle):
+    # Seven configurations: the start, three assignments and three nops.
+    prog = parse_program("x := 1; x := 2; x := 3;")
+    cfg = CheckConfig(0, 0, max_states=max_states)
+    assert check_program(prog, cfg) == verdict
+    assert oracle_partial_equiv(prog, prog, {"x"}, cfg) == oracle
 
 
 def test_oracle_reflexivity():
@@ -142,3 +165,29 @@ def test_segment_task_soundness_sample(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_pipeline_soundness_sample(seed):
     props.check_pipeline_soundness(seed)
+
+
+def _straight_line_pair(n):
+    """A pair of equivalent straight-line segments of n statements each;
+    the modified one swaps the operands of every `+`."""
+    names = "abcdef"
+    reads = [(names[(i + 1) % 6], names[(i + 3) % 6]) for i in range(n)]
+    texts = []
+    for swap in (False, True):
+        body = "".join("%s := %s + %s;\n" % ((names[i % 6],) + (r[::-1] if swap else r))
+                       for i, r in enumerate(reads))
+        texts.append("#outputs a, b;\nc := 1;\n#segment 1 {\n%s}\nd := a;\n" % body)
+    return parse(texts[0]), parse(texts[1])
+
+
+def test_long_segment_task_round_trips():
+    # Recursion headroom: the task of a 440-statement pair (about 880
+    # statements in one sequence) still parses back and renders as C.
+    [task] = build_tasks(*_straight_line_pair(440))
+    assert label_isomorphic(parse(task.to_source()).program, task.task)
+    assert emit_c(task.task).count(" = ") > 880
+
+
+def test_long_segment_verifies():
+    report = verify_pair(*_straight_line_pair(400), CheckConfig(0, 0))
+    assert report.verdict == "Equivalent"

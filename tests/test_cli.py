@@ -55,6 +55,13 @@ def test_missing_file_exits_2(capsys):
     assert main(["analyze", "/nonexistent/nope.peq"]) == 2
 
 
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.peq"
+    path.write_bytes(b"\xff\xfe x := 1;\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["analyze", fixture_path("sum2_seq"),
                  "--domain", "3..1"]) == 2
@@ -143,3 +150,15 @@ def test_warning_when_no_outputs(tmp_path, capsys):
     a.write_text("#segment 1 { x := 1; }\n")
     main(["analyze", str(a)])
     assert "warning" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_verdict(tmp_path, capsys):
+    # A 1000-statement segment is too deep for the recursive relabeling in
+    # parse: the RecursionError must exit 3 (unknown), not 1 (violation).
+    path = tmp_path / "deep.peq"
+    path.write_text("#outputs a;\n#segment 1 {\n%s}\n" % ("a := a + 1;\n" * 1000))
+    code = main(["verify", str(path), str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: internal error (RecursionError): ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from equicheck.dataflow import initial_states, modified_vars
+from equicheck.dataflow import modified_vars
 from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse_program
-from equicheck.semantics import (DataState, EMPTY_STATE, eval_aexpr,
-                                 eval_bexpr, executions, rename_state, step,
-                                 syntactic_paths, violates_assertion)
+from equicheck.semantics import (DataState, EMPTY_STATE, SYNTACTIC, eval_aexpr,
+                                 eval_bexpr, executions, initial_states,
+                                 rename_state, step, violates_assertion)
 from equicheck.syntax import (Empty, Par, RenamingFn, Var, rename_program,
                               vars_of)
 
@@ -159,7 +159,7 @@ def test_racy_par_terminal_states():
 
 def test_syntactic_paths_cover_both_branches():
     prog = parse_program("if (x < 0) { y := 1; } else { y := 2; }")
-    paths, complete = syntactic_paths(prog, max_steps=10)
+    paths, complete = executions(prog, EMPTY_STATE, 10, SYNTACTIC)
     assert complete
     finals = [p for p in paths if isinstance(p.final_program, Empty)]
     assert len(finals) == 2
@@ -167,7 +167,7 @@ def test_syntactic_paths_cover_both_branches():
 
 def test_syntactic_paths_constant_guard_decided():
     prog = parse_program("assert (1 == 2); x := 1;")
-    paths, complete = syntactic_paths(prog, max_steps=10)
+    paths, complete = executions(prog, EMPTY_STATE, 10, SYNTACTIC)
     assert complete
     assert all(not isinstance(p.final_program, Empty) for p in paths)
 
