@@ -14,7 +14,7 @@ from .errors import IncompleteExploration, UnknownSegment
 from .parser import SourceFile
 from .semantics import EMPTY_STATE, SYNTACTIC, executions, initial_states
 from .syntax import (Assert, Assign, Empty, If, Par, Program, Seq, While,
-                     nodes, vars_of, vars_of_expr)
+                     nodes, stmts_of, vars_of, vars_of_expr)
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,11 @@ def _ub_walk(prog: Program, defined: frozenset[str]):
         # later uses, which the single pass already treats as defined.
         return cond_uses | body_ub, defined
     if isinstance(prog, Seq):
-        first_ub, defined = _ub_walk(prog.first, defined)
-        rest_ub, defined = _ub_walk(prog.rest, defined)
-        return first_ub | rest_ub, defined
+        ub = frozenset()
+        for stmt in stmts_of(prog):
+            stmt_ub, defined = _ub_walk(stmt, defined)
+            ub |= stmt_ub
+        return ub, defined
     if isinstance(prog, Par):
         ub: frozenset[str] = frozenset()
         for branch in prog.branches:
@@ -112,7 +114,10 @@ def live_in(prog: Program, live_out: frozenset[str]) -> frozenset[str]:
                 return live
             live = updated
     if isinstance(prog, Seq):
-        return live_in(prog.first, live_in(prog.rest, live_out))
+        live = live_out
+        for stmt in reversed(stmts_of(prog)):
+            live = live_in(stmt, live)
+        return live
     if isinstance(prog, Par):
         live: frozenset[str] = live_out
         for branch in prog.branches:
@@ -129,16 +134,20 @@ def live_after_segment(source: SourceFile, segment_id: int,
     found: list[frozenset[str]] = []
 
     def walk(prog: Program, live_out: frozenset[str]) -> frozenset[str]:
+        # Along a sequence the statements come first to last; liveness is
+        # taken last to first.
+        firsts = []
+        while isinstance(prog, Seq) and prog != body:
+            firsts.append(prog.first)
+            prog = prog.rest
         if prog == body:
             found.append(live_out)
-            return live_in(prog, live_out)
-        if isinstance(prog, Seq):
-            return walk(prog.first, walk(prog.rest, live_out))
-        if isinstance(prog, If):
-            return (vars_of_expr(prog.cond)
+            live = live_in(prog, live_out)
+        elif isinstance(prog, If):
+            live = (vars_of_expr(prog.cond)
                     | walk(prog.then_branch, live_out)
                     | walk(prog.else_branch, live_out))
-        if isinstance(prog, While):
+        elif isinstance(prog, While):
             live = live_out
             while True:
                 updated = live_out | vars_of_expr(prog.cond) | live_in(prog.body, live)
@@ -146,8 +155,11 @@ def live_after_segment(source: SourceFile, segment_id: int,
                     break
                 live = updated
             walk(prog.body, live)  # record the segment under the loop fixpoint
-            return live
-        return live_in(prog, live_out)
+        else:
+            live = live_in(prog, live_out)
+        for first in reversed(firsts):
+            live = walk(first, live)
+        return live
 
     walk(source.program, frozenset(outputs))
     if not found:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .syntax import (Assert, Assign, BinOp, BoolLit, BoolOp, Cmp, Empty, If,
                      IntLit, Neg, Not, Par, Program, Var, While, Seq,
-                     format_aexpr, format_bexpr, vars_of)
+                     format_aexpr, format_bexpr, stmts_of, vars_of)
 
 
 def emit_c(prog: Program, name: str = "task") -> str:
@@ -54,8 +54,8 @@ def _emit(prog: Program, lines: list[str], depth: int):
         lines.append("%s}" % pad)
         return
     if isinstance(prog, Seq):
-        _emit(prog.first, lines, depth)
-        _emit(prog.rest, lines, depth)
+        for stmt in stmts_of(prog):
+            _emit(stmt, lines, depth)
         return
     if isinstance(prog, Par):
         lines.append("%s/* parallel: %d branches (no C equivalent; "

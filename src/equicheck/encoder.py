@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .dataflow import UsageSummary
 from .errors import RenamingValidationFailed
-from .syntax import (Assert, Assign, Cmp, EMPTY, Program, RenamingFn, Seq,
-                     Var, While, map_program, pretty_print, relabel,
+from .syntax import (Assert, Assign, Cmp, EMPTY, Not, Program, RenamingFn,
+                     Seq, Var, While, map_program, pretty_print, relabel,
                      rename_program, seq_of, vars_of)
 
 
@@ -90,11 +90,13 @@ def equal_block(rho: RenamingFn, names: tuple[str, ...]) -> Program:
 
 
 def neutralize_asserts(prog: Program) -> Program:
-    """Rewrite assert b into `while (b) {}` so the task cannot fail inside
-    the copied subprograms themselves."""
+    """Rewrite assert b into `while (!(b)) {}`, which assumes b: a run on
+    which b fails never ends, as it is stuck in the real program, and a run
+    on which b holds goes on.  So the task cannot fail inside the copied
+    subprograms themselves, and still checks every run that ends normally."""
     def neutralize(node):
         if isinstance(node, Assert):
-            return While(node.label, node.cond, EMPTY), False
+            return While(node.label, Not(node.cond), EMPTY), False
         return node, True
 
     return map_program(prog, neutralize)

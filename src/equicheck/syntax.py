@@ -11,29 +11,58 @@ subprograms unambiguously and survive variable renaming.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Union
+
+
+def _node(cls):
+    """Declare an immutable tree node: a frozen, slotted dataclass that
+    computes its structural hash on first use and keeps it in a `_hash`
+    slot, so a visited set hashes each node once, not on every lookup.
+
+    The hash is the dataclass one, of the tuple of the fields.  A class that
+    defines its own `__hash__` keeps it."""
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}),
+                           "_hash": "int | None"}
+    cls._hash = field(default=None, init=False, repr=False, compare=False)
+    own_hash = "__hash__" in cls.__dict__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    if not own_hash:
+        names = [f.name for f in fields(cls) if f.compare]
+        key = (operator.attrgetter(*names) if len(names) > 1
+               else lambda self: tuple([getattr(self, name) for name in names]))
+
+        def __hash__(self):
+            value = self._hash
+            if value is None:
+                value = hash(key(self))
+                object.__setattr__(self, "_hash", value)
+            return value
+
+        cls.__hash__ = __hash__
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
+@_node
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     operand: "AExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     op: str  # "+", "-", "*"
     left: "AExpr"
@@ -43,24 +72,24 @@ class BinOp:
 AExpr = Union[IntLit, Var, Neg, BinOp]
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp:
     op: str  # "==", "!=", "<", "<=", ">", ">="
     left: AExpr
     right: AExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     operand: "BExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class BoolOp:
     op: str  # "&&", "||"
     left: "BExpr"
@@ -73,25 +102,25 @@ BExpr = Union[BoolLit, Cmp, Not, BoolOp]
 # ---------------------------------------------------------------------------
 # Programs
 
-@dataclass(frozen=True)
+@_node
 class Empty:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Assign:
     label: int
     var: str
     expr: AExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Assert:
     label: int
     cond: BExpr
 
 
-@dataclass(frozen=True)
+@_node
 class If:
     label: int
     cond: BExpr
@@ -99,20 +128,47 @@ class If:
     else_branch: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class While:
     label: int
     cond: BExpr
     body: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class Seq:
     first: "Program"
     rest: "Program"
 
+    def __hash__(self):
+        if self._hash is None:
+            # Hash the not yet hashed part of the spine bottom-up, in a loop,
+            # so that no first hash recurses down a sequence.
+            spine = [self]
+            node = self.rest
+            while node.__class__ is Seq and node._hash is None:
+                spine.append(node)
+                node = node.rest
+            for node in reversed(spine):
+                object.__setattr__(node, "_hash", hash((node.first, node.rest)))
+        return self._hash
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not Seq:
+            return NotImplemented
+        # Compare along the spines in a loop, so that no comparison recurses
+        # down a sequence.
+        a, b = self, other
+        while a.__class__ is Seq and b.__class__ is Seq:
+            if a is b:
+                return True
+            if a.first is not b.first and a.first != b.first:
+                return False
+            a, b = a.rest, b.rest
+        return a is b or a == b
+
+
+@_node
 class Par:
     branches: tuple["Program", ...]
 
@@ -135,19 +191,17 @@ def seq_of(stmts) -> Program:
 
 
 def stmts_of(prog: Program) -> list[Program]:
-    """Flatten nested sequential composition into a statement list."""
+    """Flatten nested sequential composition into a statement list.
+
+    Iterative, so spines of any length are fine."""
     out: list[Program] = []
-
-    def walk(p: Program):
-        if isinstance(p, Empty):
-            return
-        if isinstance(p, Seq):
-            walk(p.first)
-            walk(p.rest)
-        else:
-            out.append(p)
-
-    walk(prog)
+    stack = [prog]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack += (node.rest, node.first)
+        elif not isinstance(node, Empty):
+            out.append(node)
     return out
 
 
@@ -189,21 +243,28 @@ def map_program(prog: Program, fn) -> Program:
 
     `fn(node)` returns `(new, descend)`: `new` takes the place of `node`,
     and when `descend` is true the children of `new` are rebuilt the same
-    way.  Recurses once per nesting level, as deep as the tree.
+    way.  Loops along each `Seq` spine and recurses once per nesting level
+    of blocks, so only the nesting of blocks bounds the depth.
     """
+    firsts = []
     new, descend = fn(prog)
+    while descend and isinstance(new, Seq):
+        firsts.append(map_program(new.first, fn))
+        new, descend = fn(new.rest)
     if not descend or isinstance(new, (Empty, Assign, Assert)):
-        return new
-    if isinstance(new, Seq):
-        return Seq(map_program(new.first, fn), map_program(new.rest, fn))
-    if isinstance(new, If):
-        return If(new.label, new.cond, map_program(new.then_branch, fn),
-                  map_program(new.else_branch, fn))
-    if isinstance(new, While):
-        return While(new.label, new.cond, map_program(new.body, fn))
-    if isinstance(new, Par):
-        return Par(tuple(map_program(b, fn) for b in new.branches))
-    raise TypeError("not a program: %r" % (new,))
+        pass
+    elif isinstance(new, If):
+        new = If(new.label, new.cond, map_program(new.then_branch, fn),
+                 map_program(new.else_branch, fn))
+    elif isinstance(new, While):
+        new = While(new.label, new.cond, map_program(new.body, fn))
+    elif isinstance(new, Par):
+        new = Par(tuple(map_program(b, fn) for b in new.branches))
+    else:
+        raise TypeError("not a program: %r" % (new,))
+    for first in reversed(firsts):
+        new = Seq(first, new)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +339,6 @@ class RenamingFn:
 
     def inverse(self, name: str) -> str:
         return self._inv.get(name, name)
-
-    def inverted(self) -> "RenamingFn":
-        return RenamingFn(self._inv)
 
     @property
     def support(self) -> frozenset[str]:

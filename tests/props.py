@@ -113,12 +113,14 @@ def check_segment_task_soundness(seed, cfg=None):
     return verdict, oracle
 
 
-def check_pipeline_soundness(seed, cfg=None):
+def check_pipeline_soundness(seed, cfg=None, segment_head=""):
     """Pipeline Equivalent verdicts are never contradicted by the
-    whole-program oracle."""
+    whole-program oracle.  `segment_head` is source text put at the start
+    of both segments."""
     cfg = cfg or CheckConfig(-2, 2, max_steps=400, max_states=400000)
     gen = ProgramGenerator(seed, SMALL)
-    text1, text2 = gen.source_pair()
+    text1, text2 = (text.replace("#segment 1 {\n", "#segment 1 {\n" + segment_head)
+                    for text in gen.source_pair())
     orig, mod = parse(text1), parse(text2)
     report = verify_pair(orig, mod, cfg)
     if report.verdict != "Equivalent":

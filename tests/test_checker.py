@@ -167,6 +167,12 @@ def test_pipeline_soundness_sample(seed):
     props.check_pipeline_soundness(seed)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_pipeline_soundness_with_asserts_sample(seed):
+    # Asserts inside segments are assumed by the task, not made vacuous.
+    props.check_pipeline_soundness(seed, segment_head="assert (1 == 1);\n")
+
+
 def _straight_line_pair(n):
     """A pair of equivalent straight-line segments of n statements each;
     the modified one swaps the operands of every `+`."""
@@ -181,13 +187,15 @@ def _straight_line_pair(n):
 
 
 def test_long_segment_task_round_trips():
-    # Recursion headroom: the task of a 440-statement pair (about 880
-    # statements in one sequence) still parses back and renders as C.
-    [task] = build_tasks(*_straight_line_pair(440))
+    # No walker recurses down a sequence: the task of a 2400-statement pair
+    # (about 4800 statements in one sequence) parses back and renders as C.
+    [task] = build_tasks(*_straight_line_pair(2400))
     assert label_isomorphic(parse(task.to_source()).program, task.task)
-    assert emit_c(task.task).count(" = ") > 880
+    assert emit_c(task.task).count(" = ") > 4800
 
 
 def test_long_segment_verifies():
-    report = verify_pair(*_straight_line_pair(400), CheckConfig(0, 0))
+    # A task of n statements takes about 2n steps: one nop per sequence join.
+    report = verify_pair(*_straight_line_pair(700),
+                         CheckConfig(0, 0, max_steps=100000))
     assert report.verdict == "Equivalent"

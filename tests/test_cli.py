@@ -153,12 +153,24 @@ def test_warning_when_no_outputs(tmp_path, capsys):
 
 
 def test_internal_error_is_not_a_verdict(tmp_path, capsys):
-    # A 1000-statement segment is too deep for the recursive relabeling in
-    # parse: the RecursionError must exit 3 (unknown), not 1 (violation).
+    # 1000 nested blocks are too deep for the recursive-descent parser: the
+    # RecursionError must exit 3 (unknown), not 1 (violation).
     path = tmp_path / "deep.peq"
-    path.write_text("#outputs a;\n#segment 1 {\n%s}\n" % ("a := a + 1;\n" * 1000))
+    path.write_text("#outputs a;\n#segment 1 {\n%sa := 1;\n%s}\n"
+                    % ("if (true) {\n" * 1000, "} else { }\n" * 1000))
     code = main(["verify", str(path), str(path)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: internal error (RecursionError): ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_assert_inside_segment_is_assumed(tmp_path, capsys):
+    # The copied segments assume their asserts: the task still compares the
+    # runs on which `assert (true)` holds, so x := 1 vs x := 2 is flagged.
+    a, b = tmp_path / "a.peq", tmp_path / "b.peq"
+    a.write_text("#outputs x;\n#segment 1 { assert (true); x := 1; }\n")
+    b.write_text("#outputs x;\n#segment 1 { assert (true); x := 2; }\n")
+    assert main(["verify", str(a), str(b)]) == 1
+    assert "PossiblyInequivalent" in capsys.readouterr().out
+    assert main(["oracle", str(a), str(b)]) == 1

@@ -6,8 +6,8 @@ from equicheck.encoder import (build_rho_switch, build_task, equal_block,
                                fresh_switch, init_block, neutralize_asserts,
                                to_seq, validate_renaming)
 from equicheck.parser import parse_program
-from equicheck.syntax import (Assert, Assign, Cmp, Empty, RenamingFn, Var,
-                              While, stmts_of, vars_of)
+from equicheck.syntax import (Assert, Assign, Cmp, Empty, Not, RenamingFn,
+                              Var, While, stmts_of, vars_of)
 
 import props
 
@@ -54,6 +54,7 @@ def test_neutralize_asserts_becomes_guard_loop():
     rewritten = neutralize_asserts(prog)
     head = rewritten.first
     assert isinstance(head, While)
+    assert head.cond == Not(prog.first.cond)
     assert isinstance(head.body, Empty)
 
 

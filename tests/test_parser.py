@@ -4,7 +4,10 @@ from equicheck.errors import (DuplicateSegmentId, ParseError, SegmentInsidePar)
 from equicheck.parser import parse, parse_program
 from equicheck.syntax import (Assert, Assign, BinOp, Cmp, Empty, If, IntLit,
                               Par, Seq, Var, While, label_isomorphic,
-                              labels_of, pretty_print, stmts_of, vars_of)
+                              labels_of, pretty_print, relabel, stmts_of,
+                              vars_of)
+
+from conftest import fixture_path
 
 
 def test_assign_roundtrip():
@@ -126,3 +129,19 @@ def test_pretty_print_roundtrip(fixtures):
 def test_empty_program():
     prog = parse_program("")
     assert isinstance(prog, Empty) or stmts_of(prog) == []
+
+
+def test_node_hash_and_equality_are_structural():
+    # Nodes cache their hash; equality and hash still follow the structure.
+    for name in ["par_orig", "two_loops_orig", "sum2_par"]:
+        with open(fixture_path(name)) as handle:
+            text = handle.read()
+        first, second = parse_program(text), parse_program(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert relabel(first, start=100) != first
+    # Neither hash nor == recurses down a sequence of 5000 statements.
+    text = "x := x + 1;\n" * 5000
+    first, second = parse_program(text), parse_program(text)
+    assert hash(first) == hash(second) and first == second
+    assert first != parse_program(text + "y := 1;\n")   # differs at the end
