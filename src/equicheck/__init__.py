@@ -19,8 +19,7 @@ from .encoder import EquivalenceTask, build_task
 from .errors import EquicheckError, ParseError
 from .generate import GenConfig, ProgramGenerator
 from .parser import SourceFile, parse, parse_program
-from .segments import (ReplacementMap, ReplacementPair, SegmentTable,
-                       apply_replacement, extract_segments,
+from .segments import (ReplacementPair, apply_replacement,
                        validate_replacement)
 from .semantics import (DataState, ExecStep, Execution, executions,
                         rename_state, step, violates_assertion)
@@ -32,11 +31,11 @@ __all__ = [
     "CheckConfig", "DataState", "EquicheckError", "EquivVerdict",
     "EquivalenceTask", "Equivalent", "ExecStep", "Execution", "GenConfig",
     "Inequivalent", "NoViolation", "ParseError", "PipelineReport", "Program",
-    "ProgramGenerator", "RenamingFn", "ReplacementMap", "ReplacementPair",
-    "ResourceExhausted", "SegmentResult", "SegmentTable", "SourceFile",
+    "ProgramGenerator", "RenamingFn", "ReplacementPair",
+    "ResourceExhausted", "SegmentResult", "SourceFile",
     "Unknown", "UsageSummary", "Verdict", "Violation", "apply_replacement",
     "build_task", "build_tasks", "check_program", "check_task", "emit_c",
-    "executions", "extract_segments", "live_after_segment", "live_in",
+    "executions", "live_after_segment", "live_in",
     "modified_vars", "oracle_partial_equiv", "parse", "parse_program",
     "pretty_print", "rename_program", "rename_state", "step",
     "summarize_program", "summarize_segment", "used_before_def",

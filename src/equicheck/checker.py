@@ -188,15 +188,16 @@ def oracle_partial_equiv(s1: Program, s2: Program, outputs,
             if not values1 or not values2:
                 continue
             if len(set(values1) | set(values2)) > 1:
-                term1 = min(t1, key=lambda s: (s[var], sorted(s.as_dict().items())))
-                term2 = min((s for s in t2 if s[var] != term1[var]),
-                            key=lambda s: (s[var], sorted(s.as_dict().items())),
+                def key(s):
+                    return (s[var], sorted(s.as_dict().items()))
+                term1 = min(t1, key=key)
+                term2 = min((s for s in t2 if s[var] != term1[var]), key=key,
                             default=None)
                 if term2 is None:
                     # All of t2 equals term1 on var; the disagreement is
                     # within t1, pick the other side there.
-                    term2 = sorted(t2, key=lambda s: s[var])[0]
-                    term1 = next(s for s in t1 if s[var] != term2[var])
+                    term2 = min(t2, key=key)
+                    term1 = min((s for s in t1 if s[var] != term2[var]), key=key)
                 return Inequivalent(initial=sigma0, terminal1=term1,
                                     terminal2=term2, witness_var=var)
     if any_truncated:
@@ -278,9 +279,8 @@ def build_tasks(original: SourceFile, modified: SourceFile,
     if outputs is None:
         outputs = frozenset(original.outputs) | frozenset(modified.outputs)
     outputs = frozenset(outputs)
-    replacement = validate_replacement(original, modified)
     tasks = []
-    for pair in replacement.pairs:
+    for pair in validate_replacement(original, modified):
         summary1 = summarize_segment(original, pair.segment_id, outputs)
         summary2 = summarize_segment(modified, pair.segment_id, outputs)
         tasks.append(build_task(pair.original, pair.modified, summary1, summary2,

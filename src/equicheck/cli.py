@@ -12,9 +12,8 @@ from .checker import (CheckConfig, Equivalent, Inequivalent, NoViolation,
                       check_program, oracle_partial_equiv, trace_as_dicts,
                       verify_pair)
 from .emit_c import emit_c
-from .errors import EquicheckError, ParseError
+from .errors import EquicheckError
 from .parser import parse
-from .segments import extract_segments
 from .dataflow import summarize_segment
 
 EXIT_OK = 0
@@ -101,7 +100,7 @@ def _load(path: str):
             return parse(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise EquicheckError("cannot read %s: %s" % (path, exc))
-    except ParseError as exc:
+    except EquicheckError as exc:
         raise EquicheckError("%s: %s" % (path, exc))
 
 
@@ -127,10 +126,9 @@ def _resolved_outputs(args, *sources) -> frozenset[str]:
 
 def cmd_analyze(args) -> int:
     source = _load(args.file)
-    table = extract_segments(source)
     outputs = _resolved_outputs(args, source)
     summaries = [summarize_segment(source, seg_id, outputs)
-                 for seg_id in table.ids()]
+                 for seg_id in sorted(source.segments)]
     if args.json:
         print(json.dumps({"file": args.file,
                           "outputs": sorted(outputs),

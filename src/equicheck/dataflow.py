@@ -171,10 +171,10 @@ def live_after_segment(source: SourceFile, segment_id: int,
 
 
 def _segment_body(source: SourceFile, segment_id: int) -> Program:
-    for seg in source.segments:
-        if seg.segment_id == segment_id:
-            return seg.body
-    raise UnknownSegment("no segment with id %d" % segment_id)
+    try:
+        return source.segments[segment_id]
+    except KeyError:
+        raise UnknownSegment("no segment with id %d" % segment_id) from None
 
 
 def summarize_segment(source: SourceFile, segment_id: int,

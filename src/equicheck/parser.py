@@ -9,20 +9,23 @@
     block    := "{" stmt* "}"
     directive:= "#outputs" IDENT ("," IDENT)* ";"
 
-"//" starts a comment that runs to end of line.  Labels are assigned to
-basic statements in preorder; "#outputs" and "#segment" are recorded as
-metadata on the returned SourceFile.
+"//" starts a comment that runs to end of line.  Each statement that
+carries a label gets the next one when its head token is read, which is
+preorder.  "#outputs" and "#segment" are recorded as metadata on the
+returned SourceFile; the parser is the one place that checks the segment
+marker rules.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import DuplicateSegmentId, ParseError, SegmentInsidePar
-from .syntax import (Assert, Assign, BinOp, BoolLit, BoolOp, Cmp, If, IntLit,
-                     Neg, Not, Par, Program, Var, While, nodes, relabel,
-                     seq_of)
+from .errors import (DuplicateSegmentId, EmptySegment, NestedSegments,
+                     ParseError, SegmentInsidePar)
+from .syntax import (Assert, Assign, BinOp, BoolLit, BoolOp, Cmp, Empty, If,
+                     IntLit, Neg, Not, Par, Program, Var, While, seq_of)
 
 KEYWORDS = {"assert", "if", "else", "while", "par", "true", "false"}
 
@@ -68,18 +71,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 @dataclass(frozen=True)
-class RawSegment:
-    """A #segment marker as encountered by the parser."""
-    segment_id: int
-    body: Program
-    nesting_depth: int  # number of enclosing #segment markers
-
-
-@dataclass(frozen=True)
 class SourceFile:
     program: Program
     outputs: tuple[str, ...]
-    segments: tuple[RawSegment, ...]
+    segments: dict[int, Program]  # segment id -> its body, a node of `program`
 
 
 class _Parser:
@@ -87,10 +82,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.outputs: list[str] = []
-        self.segments: list[RawSegment] = []
-        self.segment_ids: set[int] = set()
+        self.segments: dict[int, Program] = {}
+        self.labels = itertools.count(1)
         self.par_depth = 0
-        self.segment_depth = 0
+        self.in_segment = False
 
     # -- token helpers ----------------------------------------------------
 
@@ -109,6 +104,11 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (want, tok.text or "end of input"),
                              tok.line, tok.column)
         return self.advance()
+
+    def labelled_head(self) -> int:
+        """Consume a statement's head token and give the statement its label."""
+        self.advance()
+        return next(self.labels)
 
     def at_op(self, text: str) -> bool:
         tok = self.peek()
@@ -151,32 +151,32 @@ class _Parser:
                 return self.parse_segment()
             raise ParseError("unknown directive %r" % tok.text, tok.line, tok.column)
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.advance()
+            label = self.labelled_head()
             self.expect("op", ":=")
             expr = self.parse_aexpr()
             self.expect("op", ";")
-            return Assign(0, tok.text, expr)
+            return Assign(label, tok.text, expr)
         if tok.kind == "ident" and tok.text == "assert":
-            self.advance()
+            label = self.labelled_head()
             cond = self.parse_bexpr()
             self.expect("op", ";")
-            return Assert(0, cond)
+            return Assert(label, cond)
         if tok.kind == "ident" and tok.text == "if":
-            self.advance()
+            label = self.labelled_head()
             self.expect("op", "(")
             cond = self.parse_bexpr()
             self.expect("op", ")")
             then_branch = self.parse_block()
             self.expect("ident", "else")
             else_branch = self.parse_block()
-            return If(0, cond, then_branch, else_branch)
+            return If(label, cond, then_branch, else_branch)
         if tok.kind == "ident" and tok.text == "while":
-            self.advance()
+            label = self.labelled_head()
             self.expect("op", "(")
             cond = self.parse_bexpr()
             self.expect("op", ")")
             body = self.parse_block()
-            return While(0, cond, body)
+            return While(label, cond, body)
         if tok.kind == "ident" and tok.text == "par":
             self.advance()
             self.par_depth += 1
@@ -194,16 +194,21 @@ class _Parser:
         if self.par_depth > 0:
             raise SegmentInsidePar("segment %d occurs inside a parallel statement "
                                    "(line %d)" % (seg_id, tok.line))
-        if seg_id in self.segment_ids:
+        if seg_id in self.segments:
             raise DuplicateSegmentId("segment id %d used more than once (line %d)"
                                      % (seg_id, tok.line))
-        self.segment_ids.add(seg_id)
-        self.segment_depth += 1
+        if self.in_segment:
+            raise NestedSegments("segment %d is nested inside another segment "
+                                 "(line %d)" % (seg_id, tok.line))
+        self.in_segment = True
         body = self.parse_block()
-        self.segment_depth -= 1
-        self.segments.append(RawSegment(seg_id, body, self.segment_depth))
-        # The body stays a self-contained subprogram node in the tree so
-        # that downstream passes can locate it by value (labels are unique).
+        self.in_segment = False
+        if isinstance(body, Empty):
+            raise EmptySegment("segment %d has an empty body (line %d)"
+                               % (seg_id, tok.line))
+        # The body stays a self-contained subprogram node in the tree, and
+        # is recorded as that very node.
+        self.segments[seg_id] = body
         return body
 
     # -- expressions ------------------------------------------------------
@@ -299,25 +304,10 @@ def parse(text: str) -> SourceFile:
     """Parse source text into a program plus directive metadata."""
     parser = _Parser(tokenize(text))
     program = parser.parse_program()
-    labeled = relabel(program)
-    # Relabeling rebuilds the tree; recover each segment body inside it so
-    # the recorded subprograms carry the final labels.
-    segments = tuple(
-        RawSegment(seg.segment_id, _find_relabeled(program, labeled, seg.body),
-                   seg.nesting_depth)
-        for seg in parser.segments
-    )
-    return SourceFile(labeled, tuple(dict.fromkeys(parser.outputs)), segments)
+    return SourceFile(program, tuple(dict.fromkeys(parser.outputs)),
+                      parser.segments)
 
 
 def parse_program(text: str) -> Program:
     """Parse source text that carries no directives and return the program."""
     return parse(text).program
-
-
-def _find_relabeled(original: Program, labeled: Program, target: Program) -> Program:
-    """Locate in `labeled` the node at the same position as `target` in `original`."""
-    for node, relabeled in zip(nodes(original), nodes(labeled)):
-        if node is target:
-            return relabeled
-    return None

@@ -1,29 +1,18 @@
-"""Segment extraction and replacement validation.
+"""Replacement validation.
 
-Two program versions are related by pairing their #segment markers by id.
-Validation replaces each segment body by a placeholder and requires the
-remaining context of both files to agree up to labels.
+Two program versions are related by pairing their #segment markers by id;
+the parser has already checked each file's markers.  Validation replaces
+each segment body by a placeholder and requires the remaining context of
+both files to agree up to labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ContextMismatch, DuplicateSegmentId, EmptySegment,
-                     NestedSegments, SegmentIdMismatch, SegmentInsidePar)
+from .errors import ContextMismatch, SegmentIdMismatch
 from .parser import SourceFile
-from .syntax import (Empty, Par, Program, contains, nodes, skeleton, stmts_of,
-                     substitute)
-
-
-@dataclass(frozen=True)
-class SegmentTable:
-    """Segment id -> body for one file; invariants checked on construction."""
-    source: SourceFile
-    bodies: dict[int, Program]
-
-    def ids(self) -> list[int]:
-        return sorted(self.bodies)
+from .syntax import Program, skeleton, substitute
 
 
 @dataclass(frozen=True)
@@ -33,50 +22,20 @@ class ReplacementPair:
     modified: Program
 
 
-@dataclass(frozen=True)
-class ReplacementMap:
-    pairs: tuple[ReplacementPair, ...]
-
-
-def extract_segments(source: SourceFile) -> SegmentTable:
-    bodies: dict[int, Program] = {}
-    for seg in source.segments:
-        if seg.segment_id in bodies:
-            raise DuplicateSegmentId("segment id %d used more than once" % seg.segment_id)
-        if seg.nesting_depth > 0:
-            raise NestedSegments("segment %d is nested inside another segment"
-                                 % seg.segment_id)
-        if isinstance(seg.body, Empty) or not stmts_of(seg.body):
-            raise EmptySegment("segment %d has an empty body" % seg.segment_id)
-        if _inside_par(source.program, seg.body):
-            raise SegmentInsidePar("segment %d occurs inside a parallel statement"
-                                   % seg.segment_id)
-        bodies[seg.segment_id] = seg.body
-    return SegmentTable(source, bodies)
-
-
-def _inside_par(prog: Program, target: Program) -> bool:
-    return any(contains(branch, target)
-               for node in nodes(prog) if isinstance(node, Par)
-               for branch in node.branches)
-
-
-def validate_replacement(original: SourceFile, modified: SourceFile) -> ReplacementMap:
+def validate_replacement(original: SourceFile,
+                         modified: SourceFile) -> tuple[ReplacementPair, ...]:
     """Check that pairing segments by id induces a legal replacement and
-    return the validated pairing."""
-    table1 = extract_segments(original)
-    table2 = extract_segments(modified)
-    if table1.ids() != table2.ids():
-        raise SegmentIdMismatch("segment ids differ: %s vs %s"
-                                % (table1.ids(), table2.ids()))
-    context1 = skeleton(original.program, table1.bodies)
-    context2 = skeleton(modified.program, table2.bodies)
+    return the validated pairs in id order."""
+    ids1, ids2 = sorted(original.segments), sorted(modified.segments)
+    if ids1 != ids2:
+        raise SegmentIdMismatch("segment ids differ: %s vs %s" % (ids1, ids2))
+    context1 = skeleton(original.program, original.segments)
+    context2 = skeleton(modified.program, modified.segments)
     if context1 != context2:
         raise ContextMismatch("programs differ outside the marked segments: %s"
                               % _first_difference(context1, context2))
-    pairs = tuple(ReplacementPair(i, table1.bodies[i], table2.bodies[i])
-                  for i in table1.ids())
-    return ReplacementMap(pairs)
+    return tuple(ReplacementPair(i, original.segments[i], modified.segments[i])
+                 for i in ids1)
 
 
 def _first_difference(form1, form2) -> str:
@@ -93,9 +52,10 @@ def _first_difference(form1, form2) -> str:
     return "%r vs %r" % (form1, form2)
 
 
-def apply_replacement(original: SourceFile, replacement: ReplacementMap) -> Program:
+def apply_replacement(original: SourceFile,
+                      replacement: tuple[ReplacementPair, ...]) -> Program:
     """Substitute each modified segment body into the original's context."""
     prog = original.program
-    for pair in replacement.pairs:
+    for pair in replacement:
         prog = substitute(prog, pair.original, pair.modified)
     return prog

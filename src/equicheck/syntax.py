@@ -461,10 +461,6 @@ def substitute(prog: Program, target: Program, replacement: Program) -> Program:
                        else (node, True))
 
 
-def contains(prog: Program, target: Program) -> bool:
-    return any(node == target for node in nodes(prog))
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 

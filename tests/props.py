@@ -153,13 +153,13 @@ def check_dataflow_containment(seed):
     domain = range(-1, 2)
 
     try:
-        sem_mod = modified_vars_oracle(src.segments[0].body, domain, 400)
+        sem_mod = modified_vars_oracle(src.segments[1], domain, 400)
     except IncompleteExploration as exc:
         sem_mod = exc.partial
     assert sem_mod <= summary.modified
 
     try:
-        sem_ub = ub_oracle(src.segments[0].body, domain, 400)
+        sem_ub = ub_oracle(src.segments[1], domain, 400)
     except IncompleteExploration as exc:
         sem_ub = exc.partial
     assert sem_ub <= summary.used_before_def

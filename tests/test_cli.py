@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import equicheck
 from equicheck.cli import main
 from equicheck.parser import parse
 
@@ -174,3 +177,40 @@ def test_assert_inside_segment_is_assumed(tmp_path, capsys):
     assert main(["verify", str(a), str(b)]) == 1
     assert "PossiblyInequivalent" in capsys.readouterr().out
     assert main(["oracle", str(a), str(b)]) == 1
+
+
+def test_marker_error_names_file_and_line(tmp_path, capsys):
+    a, b = tmp_path / "a.peq", tmp_path / "b.peq"
+    a.write_text("#outputs x;\n#segment 1 { x := 1; }\n")
+    b.write_text("#outputs x;\nx := 0;\n#segment 1 { #segment 2 { x := 2; } }\n")
+    assert main(["verify", str(a), str(b)]) == 2
+    err = capsys.readouterr().err
+    assert str(b) in err
+    assert "line 3" in err
+
+
+def test_oracle_rejects_empty_segment(tmp_path, capsys):
+    a = tmp_path / "a.peq"
+    a.write_text("#outputs x;\nx := 1;\n#segment 1 { }\n")
+    assert main(["oracle", str(a), str(a)]) == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and "empty" in err
+
+
+def test_oracle_witness_independent_of_hash_seed(tmp_path):
+    # The disagreement lies within the first program's terminals, so the
+    # witness comes from the fallback branch of the oracle.
+    a, b = tmp_path / "a.peq", tmp_path / "b.peq"
+    a.write_text("#outputs x;\npar { x := 1; y := 1; } { x := 2; } { y := 2; }\n")
+    b.write_text("#outputs x;\nx := 1;\n")
+    src = os.path.dirname(os.path.dirname(equicheck.__file__))
+    outs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "equicheck.cli", "oracle",
+                               str(a), str(b), "--domain", "0..0", "--json"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["terminal1"] == {"x": 2, "y": 1}

@@ -99,7 +99,7 @@ def test_two_loop_fixture_summaries(fixtures):
 
 def test_oracles_on_reduction_segment(fixtures):
     seq = fixtures("sum2_seq")
-    body = seq.segments[0].body
+    body = seq.segments[1]
     assert modified_vars_oracle(body, range(0, 3), 200) == {"j", "sum"}
     assert ub_oracle(body, range(0, 3), 200) == {"N"}
     # The segment's own loop has a variable guard, so syntactic-path
@@ -132,7 +132,7 @@ def _random_source(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_containment_random_programs(seed):
     src = _random_source(seed)
-    body = src.segments[0].body
+    body = src.segments[1]
     summary = summarize_segment(src, 1, frozenset(src.outputs))
 
     try:

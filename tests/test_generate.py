@@ -64,4 +64,4 @@ def test_source_pairs_parse_and_validate(seed):
     text1, text2 = gen.source_pair()
     orig, mod = parse(text1), parse(text2)
     replacement = validate_replacement(orig, mod)
-    assert len(replacement.pairs) == 1
+    assert len(replacement) == 1

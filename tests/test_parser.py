@@ -1,13 +1,17 @@
+import os
+
 import pytest
 
-from equicheck.errors import (DuplicateSegmentId, ParseError, SegmentInsidePar)
+from equicheck.errors import (DuplicateSegmentId, EmptySegment,
+                              NestedSegments, ParseError, SegmentInsidePar)
+from equicheck.generate import ProgramGenerator
 from equicheck.parser import parse, parse_program
 from equicheck.syntax import (Assert, Assign, BinOp, Cmp, Empty, If, IntLit,
                               Par, Seq, Var, While, label_isomorphic,
-                              labels_of, pretty_print, relabel, stmts_of,
-                              vars_of)
+                              labels_of, nodes, pretty_print, relabel,
+                              stmts_of, vars_of)
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture
 
 
 def test_assign_roundtrip():
@@ -81,20 +85,58 @@ def test_outputs_directive():
 
 def test_segment_directive():
     source = parse("#outputs x;\n#segment 7 { x := 1; }\nx := x + 1;\n")
-    assert len(source.segments) == 1
-    assert source.segments[0].segment_id == 7
-    body = source.segments[0].body
+    assert list(source.segments) == [7]
+    body = source.segments[7]
     assert stmts_of(body) == [Assign(body.first.label, "x", IntLit(1))]
 
 
+def test_segments_map_ids_to_bodies():
+    src = parse("#segment 2 { x := 1; }\n#segment 1 { y := 2; }\nz := 3;\n")
+    assert sorted(src.segments) == [1, 2]
+    assert stmts_of(src.segments[1]) == [Assign(2, "y", IntLit(2))]
+
+
 def test_duplicate_segment_id_rejected():
-    with pytest.raises(DuplicateSegmentId):
+    with pytest.raises(DuplicateSegmentId) as info:
         parse("#segment 1 { x := 1; }\n#segment 1 { x := 2; }\n")
+    assert "(line 2)" in info.value.args[0]
 
 
 def test_segment_inside_par_rejected():
-    with pytest.raises(SegmentInsidePar):
+    with pytest.raises(SegmentInsidePar) as info:
         parse("par { #segment 1 { x := 1; } } { y := 2; }")
+    assert "(line 1)" in info.value.args[0]
+
+
+def test_empty_segment_rejected():
+    with pytest.raises(EmptySegment) as info:
+        parse("x := 1;\n#segment 1 { }\nx := 1;\n")
+    assert "(line 2)" in info.value.args[0]
+
+
+def test_nested_segments_rejected():
+    with pytest.raises(NestedSegments) as info:
+        parse("#segment 1 {\n x := 1;\n if (x < 1) { #segment 2 { y := 2; } }"
+              " else { }\n}\n")
+    assert "(line 3)" in info.value.args[0]
+
+
+def _differential_sources():
+    for name in sorted(os.listdir(FIXTURES)):
+        yield load_fixture(name[:-len(".peq")])
+    for seed in range(200):
+        for text in ProgramGenerator(seed).source_pair():
+            yield parse(text)
+
+
+def test_parser_labels_and_segments_match_relabel():
+    """The parser labels in the preorder that `relabel` gives, and records
+    each segment body as the very node inside the program."""
+    for src in _differential_sources():
+        assert relabel(src.program) == src.program
+        in_program = list(nodes(src.program))
+        for body in src.segments.values():
+            assert any(node is body for node in in_program)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,35 +1,16 @@
 import pytest
 
-from equicheck.errors import (ContextMismatch, EmptySegment, NestedSegments,
-                              SegmentIdMismatch)
+from equicheck.errors import ContextMismatch, SegmentIdMismatch
 from equicheck.parser import parse
-from equicheck.segments import (apply_replacement, extract_segments,
-                                validate_replacement)
+from equicheck.segments import apply_replacement, validate_replacement
 from equicheck.syntax import label_isomorphic
-
-
-def test_extract_segments_basic():
-    src = parse("#segment 1 { x := 1; }\n#segment 2 { y := 2; }\nz := 3;\n")
-    table = extract_segments(src)
-    assert table.ids() == [1, 2]
-
-
-def test_empty_segment_rejected():
-    src = parse("#segment 1 { }\nx := 1;\n")
-    with pytest.raises(EmptySegment):
-        extract_segments(src)
-
-
-def test_nested_segments_rejected():
-    src = parse("#segment 1 { x := 1; #segment 2 { y := 2; } }\n")
-    with pytest.raises(NestedSegments):
-        extract_segments(src)
 
 
 def test_validate_replacement_pairs_by_id(fixtures):
     orig, mod = fixtures("two_loops_orig"), fixtures("two_loops_mod")
     replacement = validate_replacement(orig, mod)
-    assert [p.segment_id for p in replacement.pairs] == [1, 2]
+    assert [p.segment_id for p in replacement] == [1, 2]
+    assert all(p.original is orig.segments[p.segment_id] for p in replacement)
 
 
 def test_validate_replacement_id_mismatch():
@@ -52,7 +33,7 @@ def test_context_compared_modulo_labels(fixtures):
     orig = parse("a := 1;\n#segment 1 { x := 1; }\nb := a;\n")
     mod = parse("a := 1;\n#segment 1 { x := 2; x := x + 1; }\nb := a;\n")
     replacement = validate_replacement(orig, mod)
-    assert len(replacement.pairs) == 1
+    assert len(replacement) == 1
 
 
 def test_apply_replacement_yields_modified(fixtures):
