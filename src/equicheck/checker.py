@@ -9,11 +9,12 @@ identical inputs always produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 
-from .dataflow import summarize_segment, used_before_def
+from .dataflow import live_in, summarize_segment, used_before_def
 from .encoder import EquivalenceTask, build_task
 from .parser import SourceFile
 from .segments import validate_replacement
@@ -170,36 +171,77 @@ def check_task(task: EquivalenceTask, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # Brute-force partial-equivalence oracle
 
+def _disagreement(t1, t2, outputs):
+    """The first output on which two sets of terminal states disagree, with
+    the least terminal state of each side that shows it: (var, term1,
+    term2), or None when they agree on every output."""
+    for var in outputs:
+        values1 = {sigma[var] for sigma in t1}
+        values2 = {sigma[var] for sigma in t2}
+        if not values1 or not values2 or len(values1 | values2) == 1:
+            continue
+
+        def key(s):
+            return (s[var], sorted(s.as_dict().items()))
+        term1 = min(t1, key=key)
+        term2 = min((s for s in t2 if s[var] != term1[var]), key=key,
+                    default=None)
+        if term2 is None:
+            # All of t2 equals term1 on var; the disagreement is within t1,
+            # pick the other side there.
+            term2 = min(t2, key=key)
+            term1 = min((s for s in t1 if s[var] != term2[var]), key=key)
+        return var, term1, term2
+    return None
+
+
 def oracle_partial_equiv(s1: Program, s2: Program, outputs,
                          cfg: CheckConfig) -> EquivVerdict:
     """Exhaustive check of partial equivalence w.r.t. the output variables:
     for every initial state over the domain, all pairs of normally
-    terminating runs must agree on every output variable."""
+    terminating runs must agree on every output variable.
+
+    Only the variables live in either program w.r.t. the outputs
+    (`live_in`) range over the domain; every other variable is fixed at
+    cfg.domain_lo.  Why verdicts and witnesses stay those of enumerating
+    every variable:
+    - Guards and asserts count as uses, an output that is never written
+      stays live, and `par` branches kill nothing across each other.  So a
+      dead variable is written before it is read on every path of every
+      interleaving, or never read, and decides no guard, no assert and no
+      output value.  Runs from two initial states that differ only in dead
+      variables correspond step for step and end with the same outputs.
+    - So when no exploration is cut, the initial states whose runs disagree
+      form B_live x D^dead, and the first of them in sorted order has
+      domain_lo in every dead variable.  The states enumerated here are a
+      subsequence of the full enumeration, in its order, that contains this
+      one: both meet it first, with the same terminal states and witness,
+      and `Equivalent` stays `Equivalent`.
+    - A budget may cut the two explorations differently, since states that
+      differ in dead variables can merge into different numbers of
+      configurations.  The answer stays sound: an `Inequivalent` is a pair
+      of concrete terminating runs, and `Equivalent` needs every enumerated
+      state explored completely, which decides the dropped states too.  So
+      an `Unknown` of the full enumeration may become `Equivalent`, and an
+      `Inequivalent` may become `Unknown` or show another witness.
+    """
     outputs = sorted(set(outputs))
-    names = vars_of(s1) | vars_of(s2) | set(outputs)
+    names = sorted(vars_of(s1) | vars_of(s2) | set(outputs))
+    live = names
+    if len(cfg.domain) > 1:  # a one-value domain has nothing to drop
+        live = live_in(s1, frozenset(outputs)) | live_in(s2, frozenset(outputs))
+    values = [cfg.domain if name in live else (cfg.domain_lo,) for name in names]
     any_truncated = False
-    for sigma0 in initial_states(names, cfg.domain):
+    for combo in itertools.product(*values):
+        sigma0 = DataState(dict(zip(names, combo)))
         _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False)
         _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False)
         any_truncated = any_truncated or stop1 is not None or stop2 is not None
-        for var in outputs:
-            values1 = sorted({sigma[var] for sigma in t1})
-            values2 = sorted({sigma[var] for sigma in t2})
-            if not values1 or not values2:
-                continue
-            if len(set(values1) | set(values2)) > 1:
-                def key(s):
-                    return (s[var], sorted(s.as_dict().items()))
-                term1 = min(t1, key=key)
-                term2 = min((s for s in t2 if s[var] != term1[var]), key=key,
-                            default=None)
-                if term2 is None:
-                    # All of t2 equals term1 on var; the disagreement is
-                    # within t1, pick the other side there.
-                    term2 = min(t2, key=key)
-                    term1 = min((s for s in t1 if s[var] != term2[var]), key=key)
-                return Inequivalent(initial=sigma0, terminal1=term1,
-                                    terminal2=term2, witness_var=var)
+        found = _disagreement(t1, t2, outputs)
+        if found is not None:
+            var, term1, term2 = found
+            return Inequivalent(initial=sigma0, terminal1=term1,
+                                terminal2=term2, witness_var=var)
     if any_truncated:
         return Unknown()
     return Equivalent(complete=True)

@@ -1,8 +1,11 @@
 """Seeded random generation of small programs and version pairs.
 
 Used by the fuzz suites: every program is loop-bounded by construction
-(loops count a dedicated counter variable down to zero) and contains no
-asserts, so all runs terminate and the bounded checker can finish.
+(loops count a dedicated counter variable down to zero), so all runs
+terminate or get stuck and the bounded checker can finish.  Programs
+contain asserts only when `GenConfig.allow_asserts` is set; with it off,
+a seed draws the same random numbers, and so gives the same programs, as
+before the option existed.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .syntax import (Assign, BinOp, BoolOp, Cmp, EMPTY, If, IntLit, Not, Par,
-                     Program, Seq, Var, While, pretty_print, relabel, seq_of,
-                     vars_of)
+from .syntax import (Assert, Assign, BinOp, BoolOp, Cmp, EMPTY, If, IntLit,
+                     Not, Par, Program, Seq, Var, While, pretty_print, relabel,
+                     seq_of, vars_of)
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,7 @@ class GenConfig:
     max_expr_depth: int = 2
     max_loop_bound: int = 3
     allow_par: bool = True
+    allow_asserts: bool = False
 
 
 class ProgramGenerator:
@@ -78,6 +82,10 @@ class ProgramGenerator:
     def statement(self, budget: int, depth: int, allow_par: bool):
         roll = self.rng.random()
         if depth == 0 or budget < 3 or roll < 0.55:
+            # Draw for an assert only when allowed: with asserts off, every
+            # seed keeps its random stream.
+            if self.config.allow_asserts and self.rng.random() < 0.15:
+                return Assert(0, self.bexpr(1)), 1
             return Assign(0, self.rng.choice(self.names), self.aexpr()), 1
         if roll < 0.72:
             then_branch = self.block(budget // 2, depth - 1, allow_par)

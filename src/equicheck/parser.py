@@ -13,7 +13,9 @@
 carries a label gets the next one when its head token is read, which is
 preorder.  "#outputs" and "#segment" are recorded as metadata on the
 returned SourceFile; the parser is the one place that checks the segment
-marker rules.
+marker rules.  An expression may nest at most MAX_EXPR_DEPTH levels, in
+its tree and in its parentheses and unary operators, since every later
+walker recurses once per level.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from dataclasses import dataclass
 from .errors import (DuplicateSegmentId, EmptySegment, NestedSegments,
                      ParseError, SegmentInsidePar)
 from .syntax import (Assert, Assign, BinOp, BoolLit, BoolOp, Cmp, Empty, If,
-                     IntLit, Neg, Not, Par, Program, Var, While, seq_of)
+                     IntLit, Neg, Not, Par, Program, Var, While, expr_depth,
+                     seq_of)
+
+MAX_EXPR_DEPTH = 100
 
 KEYWORDS = {"assert", "if", "else", "while", "par", "true", "false"}
 
@@ -77,6 +82,11 @@ class SourceFile:
     segments: dict[int, Program]  # segment id -> its body, a node of `program`
 
 
+def _too_deep(tok: Token, limit: int) -> ParseError:
+    return ParseError("expression nested deeper than %d levels" % limit,
+                      tok.line, tok.column)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -86,6 +96,7 @@ class _Parser:
         self.labels = itertools.count(1)
         self.par_depth = 0
         self.in_segment = False
+        self.nesting = 0  # open parentheses and unary operators
 
     # -- token helpers ----------------------------------------------------
 
@@ -113,6 +124,27 @@ class _Parser:
     def at_op(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text == text
+
+    def bounded(self, parse, limit: int = MAX_EXPR_DEPTH):
+        """parse() a whole expression and check the depth of its tree, which
+        is at most the number of its tokens."""
+        start = self.pos
+        tok = self.peek()
+        expr = parse()
+        if self.pos - start > limit and expr_depth(expr) > limit:
+            raise _too_deep(tok, limit)
+        return expr
+
+    def nested(self, parse):
+        """parse() the operand of a parenthesis or unary operator, which the
+        parser reaches by recursion."""
+        if self.nesting >= MAX_EXPR_DEPTH:
+            raise _too_deep(self.peek(), MAX_EXPR_DEPTH)
+        self.nesting += 1
+        try:
+            return parse()
+        finally:
+            self.nesting -= 1
 
     # -- grammar ----------------------------------------------------------
 
@@ -153,18 +185,20 @@ class _Parser:
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             label = self.labelled_head()
             self.expect("op", ":=")
-            expr = self.parse_aexpr()
+            expr = self.bounded(self.parse_aexpr)
             self.expect("op", ";")
             return Assign(label, tok.text, expr)
         if tok.kind == "ident" and tok.text == "assert":
             label = self.labelled_head()
-            cond = self.parse_bexpr()
+            # One level below the bound: a task turns `assert b` into
+            # `while (!(b)) {}`, and must read back.
+            cond = self.bounded(self.parse_bexpr, MAX_EXPR_DEPTH - 1)
             self.expect("op", ";")
             return Assert(label, cond)
         if tok.kind == "ident" and tok.text == "if":
             label = self.labelled_head()
             self.expect("op", "(")
-            cond = self.parse_bexpr()
+            cond = self.bounded(self.parse_bexpr)
             self.expect("op", ")")
             then_branch = self.parse_block()
             self.expect("ident", "else")
@@ -173,7 +207,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "while":
             label = self.labelled_head()
             self.expect("op", "(")
-            cond = self.parse_bexpr()
+            cond = self.bounded(self.parse_bexpr)
             self.expect("op", ")")
             body = self.parse_block()
             return While(label, cond, body)
@@ -240,14 +274,14 @@ class _Parser:
             return Var(tok.text)
         if self.at_op("-"):
             self.advance()
-            operand = self.parse_aatom()
+            operand = self.nested(self.parse_aatom)
             # Fold negated literals so "-3" round-trips as the literal -3.
             if isinstance(operand, IntLit):
                 return IntLit(-operand.value)
             return Neg(operand)
         if self.at_op("("):
             self.advance()
-            expr = self.parse_aexpr()
+            expr = self.nested(self.parse_aexpr)
             self.expect("op", ")")
             return expr
         raise ParseError("expected an arithmetic expression, found %r"
@@ -276,14 +310,14 @@ class _Parser:
             return BoolLit(tok.text == "true")
         if self.at_op("!"):
             self.advance()
-            return Not(self.parse_batom())
+            return Not(self.nested(self.parse_batom))
         if self.at_op("("):
             # Ambiguous: "(" may open a parenthesized bexpr or the left
             # aexpr of a comparison.  Try the bexpr reading first.
             saved = self.pos
             self.advance()
             try:
-                inner = self.parse_bexpr()
+                inner = self.nested(self.parse_bexpr)
                 self.expect("op", ")")
                 return inner
             except ParseError:

@@ -282,6 +282,20 @@ def vars_of_expr(expr) -> frozenset[str]:
     raise TypeError("not an expression: %r" % (expr,))
 
 
+def expr_depth(expr) -> int:
+    """Levels of an expression tree, 1 for a literal or a variable; counted
+    without recursion."""
+    depth, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if isinstance(node, (Neg, Not)):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, (BinOp, Cmp, BoolOp)):
+            stack += ((node.left, level + 1), (node.right, level + 1))
+    return depth
+
+
 def vars_of(prog: Program) -> frozenset[str]:
     """All variables occurring in expressions or assignment targets."""
     result: set[str] = set()

@@ -4,10 +4,12 @@ Each check_* function runs one randomized instance and raises AssertionError
 on failure, so suites can drive them with whatever instance counts they need.
 """
 
+import dataclasses
 import itertools
 import random
 
-from equicheck.checker import (CheckConfig, Equivalent, NoViolation,
+from equicheck.checker import (CheckConfig, Equivalent, Inequivalent,
+                               NoViolation, Unknown, _disagreement, _explore,
                                check_task, oracle_partial_equiv, verify_pair)
 from equicheck.dataflow import (modified_vars_oracle, summarize_program)
 from equicheck.encoder import (build_rho_switch, build_task, equal_block,
@@ -16,10 +18,11 @@ from equicheck.encoder import (build_rho_switch, build_task, equal_block,
 from equicheck.errors import IncompleteExploration
 from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse
-from equicheck.semantics import DataState, executions, step
+from equicheck.semantics import DataState, executions, initial_states, step
 from equicheck.syntax import Empty, vars_of
 
 SMALL = GenConfig(max_vars=2, max_stmts=4, max_depth=1, max_loop_bound=2)
+SMALL_ASSERTS = dataclasses.replace(SMALL, allow_asserts=True)
 
 
 def segment_pair(seed):
@@ -113,12 +116,12 @@ def check_segment_task_soundness(seed, cfg=None):
     return verdict, oracle
 
 
-def check_pipeline_soundness(seed, cfg=None, segment_head=""):
+def check_pipeline_soundness(seed, cfg=None, segment_head="", config=SMALL):
     """Pipeline Equivalent verdicts are never contradicted by the
     whole-program oracle.  `segment_head` is source text put at the start
-    of both segments."""
+    of both segments; `config` is the generator's."""
     cfg = cfg or CheckConfig(-2, 2, max_steps=400, max_states=400000)
-    gen = ProgramGenerator(seed, SMALL)
+    gen = ProgramGenerator(seed, config)
     text1, text2 = (text.replace("#segment 1 {\n", "#segment 1 {\n" + segment_head)
                     for text in gen.source_pair())
     orig, mod = parse(text1), parse(text2)
@@ -169,3 +172,52 @@ def check_dataflow_containment(seed):
     except IncompleteExploration as exc:
         sem_live = exc.partial
     assert sem_live <= summary.live_after
+
+
+# ---------------------------------------------------------------------------
+# The oracle's plain path
+
+def full_enumeration_oracle(s1, s2, outputs, cfg):
+    """`oracle_partial_equiv` without its live-input reduction: every
+    variable of both programs and every output ranges over the whole
+    domain."""
+    outputs = sorted(set(outputs))
+    truncated = False
+    for sigma0 in initial_states(vars_of(s1) | vars_of(s2) | set(outputs),
+                                 cfg.domain):
+        _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False)
+        _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False)
+        truncated = truncated or stop1 is not None or stop2 is not None
+        found = _disagreement(t1, t2, outputs)
+        if found is not None:
+            var, term1, term2 = found
+            return Inequivalent(initial=sigma0, terminal1=term1,
+                                terminal2=term2, witness_var=var)
+    return Unknown() if truncated else Equivalent(complete=True)
+
+
+def oracle_pair(seed):
+    """Two programs and their outputs for the oracle: a random pair, an
+    equivalent pair or the whole programs of a source pair, by seed mod 3,
+    all with loops, par and asserts."""
+    gen = ProgramGenerator(seed, SMALL_ASSERTS)
+    if seed % 3 == 0:
+        return gen.random_pair() + (frozenset({"x"}),)
+    if seed % 3 == 1:
+        return gen.equivalent_pair() + (frozenset({"x", "y"}),)
+    orig, mod = (parse(text) for text in gen.source_pair())
+    return orig.program, mod.program, frozenset(orig.outputs)
+
+
+def check_oracle_reduction(seed, cfg):
+    """The oracle over live inputs gives the verdict and witness of the full
+    enumeration; only where a budget cut the full one may it decide
+    `Equivalent` instead of `Unknown`.  Returns the verdict."""
+    s1, s2, outputs = oracle_pair(seed)
+    reduced = oracle_partial_equiv(s1, s2, outputs, cfg)
+    full = full_enumeration_oracle(s1, s2, outputs, cfg)
+    if isinstance(full, Unknown):
+        assert isinstance(reduced, (Unknown, Equivalent)), (seed, reduced)
+    else:
+        assert reduced == full, (seed, reduced, full)
+    return reduced

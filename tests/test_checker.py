@@ -130,6 +130,52 @@ def test_racy_par_witness():
     assert verdict.initial["x"] == 1
 
 
+# The oracle ranges only over variables live in either program and fixes the
+# rest at the domain's lower bound.  Each pair below has an input that a
+# coarser notion of "input" would drop, and loses its difference without it.
+@pytest.mark.parametrize("text1, text2, output, domain, initial", [
+    # An output that one program never writes passes its initial value through.
+    ("y := 0;", "x := 1;", "y", (0, 1), {"x": 0, "y": 1}),
+    # Only an assert reads v; v = -1 gets stuck, v = 0 shows the difference.
+    ("assert (v == 0); x := 1;", "x := 2;", "x", (-1, 1), {"v": 0, "x": -1}),
+    # Only a loop guard reads v, and it decides termination.
+    ("while (v != 0) { } x := 1;", "x := 2;", "x", (-1, 1), {"v": 0, "x": -1}),
+    # One par branch reads v before the other branch writes it.
+    ("par { v := 1; } { x := v; }", "v := 1; x := v;", "x", (1, 2),
+     {"v": 2, "x": 1}),
+])
+def test_oracle_live_input_traps(text1, text2, output, domain, initial):
+    s1, s2 = parse_program(text1), parse_program(text2)
+    cfg = CheckConfig(*domain)
+    verdict = oracle_partial_equiv(s1, s2, {output}, cfg)
+    assert isinstance(verdict, Inequivalent)
+    assert {name: verdict.initial[name] for name in initial} == initial
+    assert verdict == props.full_enumeration_oracle(s1, s2, {output}, cfg)
+
+
+def test_oracle_reduction_under_a_state_budget():
+    # v is dead.  From y = 0 the guard goes either way.  With v = 0 the
+    # then-branch writes the value v already has, and the two ways merge
+    # into 19 configurations; with v = 1 they take 25, more than the budget
+    # of 21.  Only the full enumeration starts from v = 1, so only it is cut.
+    s1 = parse_program("par { if (y > 0) { v := 0; } else { } } { y := 1; }"
+                       " v := 2; x := 1;")
+    s2 = parse_program("x := 1;")
+    cfg = CheckConfig(0, 1, max_states=21)
+    assert oracle_partial_equiv(s1, s2, {"x"}, cfg) == Equivalent(complete=True)
+    assert props.full_enumeration_oracle(s1, s2, {"x"}, cfg) == Unknown()
+
+
+@pytest.mark.parametrize("domain", [(-1, 1), (0, 1), (1, 2)])
+def test_oracle_reduction_matches_full_enumeration(domain):
+    # 1..2 does not contain 0, so a reduction that fixed dead variables at 0
+    # instead of the lower bound would change witnesses there.
+    cfg = CheckConfig(*domain)
+    kinds = {type(props.check_oracle_reduction(seed, cfg)).__name__
+             for seed in range(300)}
+    assert kinds == {"Equivalent", "Inequivalent"}
+
+
 def test_verify_pair_report_schema(fixtures):
     report = verify_pair(fixtures("sum2_seq"), fixtures("sum2_par"),
                          CheckConfig(0, 3))
@@ -171,6 +217,11 @@ def test_pipeline_soundness_sample(seed):
 def test_pipeline_soundness_with_asserts_sample(seed):
     # Asserts inside segments are assumed by the task, not made vacuous.
     props.check_pipeline_soundness(seed, segment_head="assert (1 == 1);\n")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pipeline_soundness_with_generated_asserts_sample(seed):
+    props.check_pipeline_soundness(seed, config=props.SMALL_ASSERTS)
 
 
 def _straight_line_pair(n):

@@ -7,7 +7,7 @@ import pytest
 
 import equicheck
 from equicheck.cli import main
-from equicheck.parser import parse
+from equicheck.parser import MAX_EXPR_DEPTH, parse
 
 from conftest import fixture_path
 
@@ -166,6 +166,36 @@ def test_internal_error_is_not_a_verdict(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: internal error (RecursionError): ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _sum_of(n):
+    """`a + a + ... + 1` with n terms, an expression n levels deep."""
+    return " + ".join(["a"] * (n - 1) + ["1"])
+
+
+def test_deep_expression_exits_2_with_its_line(tmp_path, capsys):
+    # Every expression walker recurses once per level, so the parser refuses
+    # 600 levels rather than leave a later walker to run out of stack.
+    path = tmp_path / "deep.peq"
+    path.write_text("#outputs a;\n#segment 1 {\na := %s;\n}\n" % _sum_of(600))
+    assert main(["verify", str(path), str(path), "--domain=0..0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s: 3:6: expression nested deeper than %d levels\n" % (
+        path, MAX_EXPR_DEPTH)
+
+
+def test_expressions_at_depth_bound_run_every_command(tmp_path, capsys):
+    # An assert may nest one level less: its task guard `!(b)` adds one.
+    cond = "%s != 0" % _sum_of(MAX_EXPR_DEPTH - 2)
+    a, b, out = tmp_path / "a.peq", tmp_path / "b.peq", tmp_path / "out"
+    for path, last in ((a, "1"), (b, "2")):
+        path.write_text("#outputs a;\n#segment 1 {\nassert (%s);\na := %s;\n}\n"
+                        % (cond, _sum_of(MAX_EXPR_DEPTH)[:-1] + last))
+    assert main(["verify", str(a), str(b), "--domain=0..1"]) == 1
+    assert main(["oracle", str(a), str(b), "--domain=0..1"]) == 1
+    assert main(["encode", str(a), str(b), "--out", str(out), "--emit-c"]) == 0
+    parse((out / "task_1.peq").read_text())
+    assert main(["check", str(out / "task_1.peq"), "--domain=0..1"]) == 1
 
 
 def test_assert_inside_segment_is_assumed(tmp_path, capsys):

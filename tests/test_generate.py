@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 from equicheck.checker import CheckConfig, Equivalent, oracle_partial_equiv
 from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse
 from equicheck.semantics import DataState, executions
-from equicheck.syntax import Assert, labels_of, stmts_of, vars_of
+from equicheck.syntax import (Assert, labels_of, pretty_print, stmts_of,
+                              vars_of)
 
 
 def walk_statements(prog):
@@ -65,3 +68,23 @@ def test_source_pairs_parse_and_validate(seed):
     orig, mod = parse(text1), parse(text2)
     replacement = validate_replacement(orig, mod)
     assert len(replacement) == 1
+
+
+def test_seeds_keep_their_programs():
+    # A pinned digest of 50 seeds' programs: with `allow_asserts` off the
+    # generator draws no extra random numbers, so seeds keep their programs.
+    digest = hashlib.sha256()
+    for seed in range(50):
+        gen = ProgramGenerator(seed)
+        digest.update(pretty_print(gen.program()).encode())
+        digest.update("".join(gen.source_pair()).encode())
+    assert digest.hexdigest()[:16] == "7496890a26552aa4"
+
+
+def test_allow_asserts_emits_asserts():
+    config = GenConfig(max_vars=2, max_stmts=4, max_depth=1, max_loop_bound=2,
+                       allow_asserts=True)
+    with_asserts = [seed for seed in range(30)
+                    if any(isinstance(node, Assert) for node in
+                           walk_statements(ProgramGenerator(seed, config).program()))]
+    assert len(with_asserts) >= 5

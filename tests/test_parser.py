@@ -5,7 +5,7 @@ import pytest
 from equicheck.errors import (DuplicateSegmentId, EmptySegment,
                               NestedSegments, ParseError, SegmentInsidePar)
 from equicheck.generate import ProgramGenerator
-from equicheck.parser import parse, parse_program
+from equicheck.parser import MAX_EXPR_DEPTH, parse, parse_program
 from equicheck.syntax import (Assert, Assign, BinOp, Cmp, Empty, If, IntLit,
                               Par, Seq, Var, While, label_isomorphic,
                               labels_of, nodes, pretty_print, relabel,
@@ -150,6 +150,36 @@ def test_parser_labels_and_segments_match_relabel():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_program(bad)
+
+
+_DEEP = MAX_EXPR_DEPTH + 1
+
+
+@pytest.mark.parametrize("text", [
+    "x := %s;" % " + ".join(["a"] * _DEEP),                # tree
+    "x := %s1%s;" % ("(" * _DEEP, ")" * _DEEP),             # parentheses
+    "x := %sa;" % ("-" * _DEEP),                            # unary minus
+    "if (%s(a == 1)) { } else { }" % ("!" * _DEEP),         # negation
+    "while (%sa == 1%s) { }" % ("(" * _DEEP, ")" * _DEEP),  # parenthesized
+    "assert %s;" % " && ".join(["a == 1"] * (MAX_EXPR_DEPTH - 1)),  # one less
+])
+def test_expression_depth_bound(text):
+    with pytest.raises(ParseError) as info:
+        parse_program("y := 0;\n" + text)
+    assert info.value.line == 2
+    assert "nested deeper than" in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "x := %s;" % " - ".join(["a"] * MAX_EXPR_DEPTH),
+    "x := %s1%s;" % ("(" * MAX_EXPR_DEPTH, ")" * MAX_EXPR_DEPTH),
+    "x := %sa;" % ("-" * (MAX_EXPR_DEPTH - 1)),
+    "assert %s;" % " && ".join(["a == 1"] * (MAX_EXPR_DEPTH - 2)),
+    "x := %s%s;" % (" - (".join("a" * MAX_EXPR_DEPTH), ")" * (MAX_EXPR_DEPTH - 1)),
+])
+def test_expressions_at_depth_bound_parse_and_print_back(text):
+    prog = parse_program(text)
+    assert label_isomorphic(parse_program(pretty_print(prog)), prog)
 
 
 def test_parse_error_carries_position():
