@@ -14,13 +14,23 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+from . import semantics
 from .dataflow import live_in, summarize_segment, used_before_def
 from .encoder import EquivalenceTask, build_task
 from .parser import SourceFile
 from .segments import validate_replacement
-from .semantics import (DataState, Execution, initial_states, step,
+from .semantics import (DataState, Execution, initial_states,
                         violates_assertion)
 from .syntax import Empty, Program, vars_of
+
+
+def step(prog: Program, sigma: DataState):
+    """The checker's step relation: `semantics.step` with its partial-order
+    reduction of top-level `par`s.  `_explore` calls it by this name, with
+    these two arguments, so that a wrapper put in its place sees every step
+    of the checker.  A function, since a `functools.partial` with a keyword
+    builds a dict on every call."""
+    return semantics.step(prog, sigma, reduce=True)
 
 
 @dataclass(frozen=True)
@@ -99,9 +109,20 @@ EquivVerdict = Equivalent | Inequivalent | Unknown
 # Exploration
 
 def _explore(prog: Program, sigma0: DataState, cfg: CheckConfig,
-             find_violation: bool):
+             find_violation: bool, reduce: bool = True):
     """Breadth-first search of the configurations reachable from
-    (prog, sigma0), in the successor order of `step`.
+    (prog, sigma0), in the successor order of `step`, or of the full
+    `semantics.step` if not `reduce`.
+
+    `step` skips interleavings of independent `par` branches; it keeps every
+    terminal and every violating configuration at its depth and the trace
+    to the first violation (`semantics._first_branch_persistent`).  So when
+    the search over every interleaving would not be cut, the result is the
+    same.  Where a budget would cut it, this search visits fewer
+    configurations and may decide instead.  The reverse can happen too: a
+    configuration inside a `par` may lie deeper here than in the full graph,
+    so a search that the full relation completes within max_steps can be cut
+    here.  The result is then incomplete, never unsound.
 
     With `find_violation`, stops at the first configuration that violates
     an assertion.  Returns (trace, terminals, stop): trace is the
@@ -113,6 +134,7 @@ def _explore(prog: Program, sigma0: DataState, cfg: CheckConfig,
     """
     if find_violation and violates_assertion(prog, sigma0):
         return Execution(prog, sigma0), set(), None
+    successors_of = step if reduce else semantics.step
     start = (prog, sigma0)
     parents: dict = {start: None}   # configuration -> (parent, op) if tracing
     queue = deque([(start, 0)])
@@ -123,7 +145,7 @@ def _explore(prog: Program, sigma0: DataState, cfg: CheckConfig,
         if isinstance(config[0], Empty):
             terminals.add(config[1])
             continue
-        successors = step(*config)
+        successors = successors_of(*config)
         if depth >= cfg.max_steps:
             if successors:
                 stop = "steps"
@@ -201,6 +223,12 @@ def oracle_partial_equiv(s1: Program, s2: Program, outputs,
     for every initial state over the domain, all pairs of normally
     terminating runs must agree on every output variable.
 
+    The runs are explored over every interleaving, without the checker's
+    partial-order reduction: the oracle is the reference that the checker's
+    verdicts are compared with, so it shares none of its reductions of `par`,
+    and its cost on a `par` does not hinge on how many branch steps happen
+    to be independent.
+
     Only the variables live in either program w.r.t. the outputs
     (`live_in`) range over the domain; every other variable is fixed at
     cfg.domain_lo.  Why verdicts and witnesses stay those of enumerating
@@ -234,8 +262,10 @@ def oracle_partial_equiv(s1: Program, s2: Program, outputs,
     any_truncated = False
     for combo in itertools.product(*values):
         sigma0 = DataState(dict(zip(names, combo)))
-        _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False)
-        _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False)
+        _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False,
+                                reduce=False)
+        _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False,
+                                reduce=False)
         any_truncated = any_truncated or stop1 is not None or stop2 is not None
         found = _disagreement(t1, t2, outputs)
         if found is not None:

@@ -59,7 +59,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "(default 2000)")
         p.add_argument("--max-states", type=int, default=200000, metavar="N",
                        help="configurations visited per initial state, per "
-                            "program for oracle (default 200000)")
+                            "program for oracle; for check and verify, "
+                            "interleavings of independent par branches are "
+                            "not counted, since they are skipped "
+                            "(default 200000)")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON to stdout")
         p.add_argument("--outputs", type=_parse_outputs, metavar="V1,V2",

@@ -8,14 +8,15 @@ the configuration stuck (and flagged by `violates_assertion`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .syntax import (AExpr, Assert, Assign, BExpr, BinOp, BoolLit, BoolOp,
                      Cmp, Empty, EMPTY, If, IntLit, Neg, Not, Par, Program,
-                     RenamingFn, Seq, Var, While, rename_expr, rename_program,
-                     vars_of_expr)
+                     RenamingFn, Seq, Var, While, nodes, rename_expr,
+                     rename_program, vars_of_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,19 @@ CONCRETE = Evaluator(eval_aexpr, lambda sigma, cond: (eval_bexpr(sigma, cond),))
 SYNTACTIC = Evaluator(lambda sigma, expr: 0, _syntactic_outcomes)
 
 
-def step(prog: Program, sigma: DataState,
-         evaluator: Evaluator = CONCRETE) -> list[tuple[ExecStep, Program, DataState]]:
-    """All successors of (prog, sigma); empty for terminal or stuck configurations."""
+def step(prog: Program, sigma: DataState, evaluator: Evaluator = CONCRETE, *,
+         reduce: bool = False) -> list[tuple[ExecStep, Program, DataState]]:
+    """All successors of (prog, sigma); empty for terminal or stuck configurations.
+
+    With `reduce`, a `par` reached along the sequence spine of `prog` steps
+    only its first non-empty branch when that branch's next step is
+    independent of every other branch (`_first_branch_persistent`).  Those
+    successors form a persistent set (Godefroid, LNCS 1032, 1996): every
+    configuration past the `par`, a terminal or a stuck one in particular,
+    stays reachable by a run of the same length that starts with one of
+    them.  Nested `par`s always step every branch.  The reduced relation is
+    meant for the CONCRETE evaluator.
+    """
     if isinstance(prog, Empty):
         return []
     if isinstance(prog, Assign):
@@ -216,17 +227,110 @@ def step(prog: Program, sigma: DataState,
         if isinstance(prog.first, Empty):
             return [(NOP, prog.rest, sigma)]
         return [(op, Seq(first2, prog.rest), sigma2)
-                for op, first2, sigma2 in step(prog.first, sigma, evaluator)]
+                for op, first2, sigma2 in step(prog.first, sigma, evaluator,
+                                               reduce=reduce)]
     if isinstance(prog, Par):
-        if all(isinstance(b, Empty) for b in prog.branches):
+        branches = prog.branches
+        live = [i for i, b in enumerate(branches) if not isinstance(b, Empty)]
+        if not live:
             return [(NOP, EMPTY, sigma)]
+        if reduce and len(live) > 1 and _first_branch_persistent(branches, live):
+            del live[1:]
         successors = []
-        for i, branch in enumerate(prog.branches):
-            for op, branch2, sigma2 in step(branch, sigma, evaluator):
-                branches = prog.branches[:i] + (branch2,) + prog.branches[i + 1:]
-                successors.append((op, Par(branches), sigma2))
+        for i in live:
+            for op, branch2, sigma2 in step(branches[i], sigma, evaluator):
+                successors.append((op, Par(branches[:i] + (branch2,) + branches[i + 1:]),
+                                   sigma2))
         return successors
     raise TypeError("not a program: %r" % (prog,))
+
+
+# ---------------------------------------------------------------------------
+# Partial-order reduction
+
+@functools.lru_cache(maxsize=4096)
+def _footprint(prog: Program) -> tuple[frozenset[str], frozenset[str], bool]:
+    """(variables, assigned variables, whether an assert occurs) of `prog`.
+
+    Memoized with a bound, since the branches of a `par` repeat from one
+    configuration to the next."""
+    used: set[str] = set()
+    assigned: set[str] = set()
+    has_assert = False
+    for node in nodes(prog):
+        if isinstance(node, Assign):
+            assigned.add(node.var)
+            used |= vars_of_expr(node.expr)
+        elif isinstance(node, (Assert, If, While)):
+            has_assert = has_assert or isinstance(node, Assert)
+            used |= vars_of_expr(node.cond)
+    return frozenset(used | assigned), frozenset(assigned), has_assert
+
+
+_NO_VARS = frozenset()
+
+
+def _next_step_footprint(branch: Program) -> tuple[frozenset[str], frozenset[str]]:
+    """(read, written) variables of the next step of a non-empty branch with
+    no assert; a nop reads and writes nothing."""
+    head = branch
+    while isinstance(head, Seq):
+        if isinstance(head.first, Empty):
+            return _NO_VARS, _NO_VARS
+        head = head.first
+    return _head_footprint(head)
+
+
+@functools.lru_cache(maxsize=4096)
+def _head_footprint(head: Program) -> tuple[frozenset[str], frozenset[str]]:
+    """(read, written) variables of the steps a statement can take first: an
+    assignment reads its expression and writes its target, a guard reads
+    its condition, and a nested `par` stands for every step it can take."""
+    if isinstance(head, Assign):
+        return vars_of_expr(head.expr), frozenset((head.var,))
+    if isinstance(head, (If, While)):
+        return vars_of_expr(head.cond), _NO_VARS
+    used, assigned, _ = _footprint(head)
+    return used, assigned
+
+
+def _first_branch_persistent(branches: tuple[Program, ...], live: list[int]) -> bool:
+    """Whether the next step of branch `live[0]` is independent of every
+    step that the other non-empty branches `live[1:]` can ever take.
+
+    No branch may contain an assert.  Then every non-empty branch can step,
+    and the `par` can only finish, and the program after it only run, once
+    every branch has taken all its steps.  Let (R, W) be the variables that
+    the first branch's next step t reads and writes.  If no other branch j
+    uses a variable in W or assigns one in R, then t commutes with every
+    step j can take: either order is possible and ends in the same
+    configuration.  So t's successors form a persistent set.  A run that
+    finishes the `par` and starts with other branches' steps takes t later,
+    and moving t to the front gives a run of the same length to the same
+    configuration.  Consequences for `checker._explore`:
+    - every configuration past the `par`, a terminal or a stuck one in
+      particular, is reached at its unreduced breadth-first depth.  So the
+      terminal sets are unchanged, and so is whether one lies within
+      `max_steps`;
+    - with no assert in a branch, every configuration that violates an
+      assertion lies past the `par`, so the checker's violations are kept;
+    - successors are ordered by branch index, so t's successors come first
+      in both relations.  The lexicographically least shortest path to such
+      a configuration, which is the trace the search reports, takes them
+      too, because t commutes to its front.  Traces are unchanged.
+    A configuration inside the `par` may lie deeper in the reduced graph
+    than in the full one (a branch that loops back to where it was); see
+    `checker._explore` for what that does to budgets.
+    """
+    first = branches[live[0]]
+    if _footprint(first)[2]:
+        return False
+    reads, writes = _next_step_footprint(first)
+    for i in live[1:]:
+        used, assigned, has_assert = _footprint(branches[i])
+        if has_assert or not (writes.isdisjoint(used) and reads.isdisjoint(assigned)):
+            return False
+    return True
 
 
 def violates_assertion(prog: Program, sigma: DataState) -> bool:

@@ -4,13 +4,16 @@ Each check_* function runs one randomized instance and raises AssertionError
 on failure, so suites can drive them with whatever instance counts they need.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import random
 
+from equicheck import checker, semantics
 from equicheck.checker import (CheckConfig, Equivalent, Inequivalent,
-                               NoViolation, Unknown, _disagreement, _explore,
-                               check_task, oracle_partial_equiv, verify_pair)
+                               NoViolation, Unknown, Violation, _disagreement,
+                               _explore, check_program, check_task,
+                               oracle_partial_equiv, verify_pair)
 from equicheck.dataflow import (modified_vars_oracle, summarize_program)
 from equicheck.encoder import (build_rho_switch, build_task, equal_block,
                                fresh_switch, init_block, to_seq,
@@ -18,8 +21,10 @@ from equicheck.encoder import (build_rho_switch, build_task, equal_block,
 from equicheck.errors import IncompleteExploration
 from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse
-from equicheck.semantics import DataState, executions, initial_states, step
-from equicheck.syntax import Empty, vars_of
+from equicheck.semantics import (DataState, executions, initial_states, step,
+                                 violates_assertion)
+from equicheck.syntax import (Assert, Empty, Par, Seq, relabel, seq_of,
+                              stmts_of, vars_of)
 
 SMALL = GenConfig(max_vars=2, max_stmts=4, max_depth=1, max_loop_bound=2)
 SMALL_ASSERTS = dataclasses.replace(SMALL, allow_asserts=True)
@@ -175,18 +180,40 @@ def check_dataflow_containment(seed):
 
 
 # ---------------------------------------------------------------------------
-# The oracle's plain path
+# The plain paths
+
+@contextlib.contextmanager
+def unreduced(stops=None):
+    """Let the checker's explorer step every interleaving: inside the block,
+    `checker.step` is the plain `semantics.step`, without its partial-order
+    reduction of `par`.  Given a list `stops`, every exploration appends its
+    stop reason to it."""
+    saved_step, saved_explore = checker.step, checker._explore
+
+    def explore(*args, **kwargs):
+        result = saved_explore(*args, **kwargs)
+        stops.append(result[2])
+        return result
+
+    checker.step = semantics.step
+    if stops is not None:
+        checker._explore = explore
+    try:
+        yield
+    finally:
+        checker.step, checker._explore = saved_step, saved_explore
+
 
 def full_enumeration_oracle(s1, s2, outputs, cfg):
     """`oracle_partial_equiv` without its live-input reduction: every
     variable of both programs and every output ranges over the whole
-    domain."""
+    domain.  Like the oracle, it explores every interleaving."""
     outputs = sorted(set(outputs))
     truncated = False
     for sigma0 in initial_states(vars_of(s1) | vars_of(s2) | set(outputs),
                                  cfg.domain):
-        _, t1, stop1 = _explore(s1, sigma0, cfg, find_violation=False)
-        _, t2, stop2 = _explore(s2, sigma0, cfg, find_violation=False)
+        _, t1, stop1 = _explore(s1, sigma0, cfg, False, reduce=False)
+        _, t2, stop2 = _explore(s2, sigma0, cfg, False, reduce=False)
         truncated = truncated or stop1 is not None or stop2 is not None
         found = _disagreement(t1, t2, outputs)
         if found is not None:
@@ -221,3 +248,49 @@ def check_oracle_reduction(seed, cfg):
     else:
         assert reduced == full, (seed, reduced, full)
     return reduced
+
+
+# ---------------------------------------------------------------------------
+# The partial-order reduction against every interleaving
+
+def par_program(seed, budget=3, max_vars=2):
+    """A `par` of two or three generated branches with loops and ifs, about
+    one in five of them allowed a nested `par`, followed by a short block
+    that ends in an assert.  Every fourth seed also puts asserts in the
+    branches."""
+    config = dataclasses.replace(SMALL, max_vars=max_vars,
+                                 allow_asserts=seed % 4 == 0)
+    gen = ProgramGenerator(seed, config)
+    rng = gen.rng
+    branches = tuple(gen.block(budget, 1, rng.random() < 0.2)
+                     for _ in range(rng.choice([2, 2, 3])))
+    suffix = seq_of(stmts_of(gen.block(2, 0, False)) + [Assert(0, gen.bexpr(1))])
+    return relabel(Seq(Par(branches), suffix))
+
+
+def replays(trace):
+    """Whether every step of a trace is a step of the full relation and the
+    trace ends in a configuration that violates an assertion."""
+    current = (trace.initial_program, trace.initial_state)
+    for op, prog, sigma in trace.steps:
+        if (op, prog, sigma) not in step(*current):
+            return False
+        current = (prog, sigma)
+    return violates_assertion(*current)
+
+
+def check_reduction_differential(seed, cfg, **sizes):
+    """The checker gives what it gives over every interleaving wherever that
+    search is not cut; where it is cut, a reduced violation still replays
+    under the full step relation.  Returns whether the unreduced search was
+    cut."""
+    par = par_program(seed, **sizes)
+    stops = []
+    verdict = check_program(par, cfg)
+    with unreduced(stops):
+        full_verdict = check_program(par, cfg)
+    if any(stops):
+        assert not isinstance(verdict, Violation) or replays(verdict.trace), seed
+        return True
+    assert verdict == full_verdict, seed
+    return False

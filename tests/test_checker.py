@@ -1,12 +1,16 @@
+import json
+
 import pytest
 
+from equicheck import semantics
 from equicheck.checker import (CheckConfig, Equivalent, Inequivalent,
                                NoViolation, ResourceExhausted, Unknown,
-                               Violation, check_program, check_task,
+                               Violation, _explore, check_program, check_task,
                                build_tasks, oracle_partial_equiv, verify_pair)
+from equicheck.cli import main
 from equicheck.emit_c import emit_c
 from equicheck.parser import parse, parse_program
-from equicheck.semantics import step, violates_assertion
+from equicheck.semantics import DataState, step, violates_assertion
 from equicheck.syntax import label_isomorphic
 
 import props
@@ -250,3 +254,131 @@ def test_long_segment_verifies():
     report = verify_pair(*_straight_line_pair(700),
                          CheckConfig(0, 0, max_steps=100000))
     assert report.verdict == "Equivalent"
+
+
+# ---------------------------------------------------------------------------
+# Partial-order reduction of `par`: each trap below is a program where a
+# wrong independence rule loses an interleaving that matters.
+
+def explore_both(text, find_violation, cfg=CheckConfig(0, 0), var="y"):
+    """`_explore` from the all-zero state with and without the reduction;
+    asserts that trace, terminal states and stop reason agree, and returns
+    the values of `var` in the terminal states."""
+    prog = parse_program(text)
+    reduced = _explore(prog, DataState(), cfg, find_violation)
+    with props.unreduced():
+        full = _explore(prog, DataState(), cfg, find_violation)
+    assert reduced == full
+    return {sigma[var] for sigma in full[1]}
+
+
+def test_reduction_steps_only_an_independent_first_branch():
+    prog = parse_program("par { x := 1; } { y := 1; }")
+    assert len(semantics.step(prog, DataState())) == 2
+    assert len(semantics.step(prog, DataState(), reduce=True)) == 1
+    # A nested par is stepped in full.
+    nested = parse_program("par { par { x := 1; } { y := 1; } } { z := 1; }")
+    assert len(semantics.step(nested, DataState(), reduce=True)) == 2
+
+
+@pytest.mark.parametrize("find_violation", [False, True])
+def test_reduction_trap_read_of_a_later_write(find_violation):
+    # The first branch reads v; the other writes v only after its head.
+    terminals = explore_both("par { x := v; } { y := 1; v := 2; }",
+                             find_violation, var="x")
+    assert terminals == {0, 2}
+
+
+@pytest.mark.parametrize("find_violation", [False, True])
+def test_reduction_trap_write_write(find_violation):
+    terminals = explore_both("par { x := 1; y := 1; } { x := 2; }",
+                             find_violation, var="x")
+    assert terminals == {1, 2}
+
+
+@pytest.mark.parametrize("find_violation", [False, True])
+def test_reduction_trap_loop_guard_against_a_write_in_a_loop(find_violation):
+    # The first branch waits on f, which the other sets inside its loop body.
+    terminals = explore_both(
+        "par { while (f == 0) { } x := 1; } "
+        "{ c := 2; while (c > 0) { f := 1; c := c - 1; } y := 1; }",
+        find_violation, var="x")
+    assert terminals == {1}
+
+
+@pytest.mark.parametrize("find_violation", [False, True])
+def test_reduction_trap_nested_par_against_an_outer_sibling(find_violation):
+    # y = 20 needs x := 2 before a := 1 inside the nested par, and the outer
+    # sibling in between; y = 0 needs the sibling before both.
+    terminals = explore_both(
+        "par { par { a := 1; } { x := 2; } } { y := x * 10 + a; }", find_violation)
+    assert terminals == {0, 1, 20, 21}
+
+
+def test_reduction_trap_assert_in_a_branch(tmp_path, capsys):
+    # Only runs in which the second branch reaches its assert before the
+    # first branch's x := 1 violate it; the shortest takes two steps.  An
+    # assert in a branch turns the reduction off, so the trace is the one
+    # of the full search.
+    path = tmp_path / "task.peq"
+    path.write_text("par { z := 1; x := 1; } { y := 1; assert (x == 1); }\n")
+    args = ["check", str(path), "--domain", "0..0", "--json"]
+    code = main(args)
+    reduced = capsys.readouterr().out
+    with props.unreduced():
+        assert main(args) == code == 1
+    assert capsys.readouterr().out == reduced
+    assert len(json.loads(reduced)["trace"]) == 2
+
+
+@pytest.mark.parametrize("find_violation", [False, True])
+def test_reduction_trap_branch_that_never_terminates(find_violation):
+    # The first branch spins on its own and is always independent, so the
+    # reduced search never steps the second branch; no run ends either way.
+    terminals = explore_both(
+        "par { while (true) { } } { x := 1; y := 1; } assert (x == 0);",
+        find_violation, CheckConfig(0, 0, max_steps=50))
+    assert terminals == set()
+
+
+def test_reduction_may_cut_a_search_that_the_full_one_completes():
+    # The only way the reduction loses a decided result.  The first branch
+    # loops until it reads y != 0 and steps alone while it is independent,
+    # so some configurations inside the par lie deeper than in the full
+    # search: 33 steps against 30.  A step bound between the two cuts only
+    # the reduced search.  Final states still agree.
+    prog = parse_program(
+        "par { a := 1 - a; b := 0; while (y == 0) { y := 0;"
+        " if (b == 0) { y := 1; b := 0; b := 1 - b; } else { a := 1 - a; } } }"
+        " { y := 0; } { a := 0; y := 0; }")
+    for max_steps, stops in [(30, ("steps", "steps")), (31, ("steps", None)),
+                             (34, (None, None))]:
+        cfg = CheckConfig(0, 0, max_steps=max_steps)
+        reduced = _explore(prog, DataState(), cfg, False)
+        with props.unreduced():
+            full = _explore(prog, DataState(), cfg, False)
+        assert reduced[1] == full[1]
+        assert (reduced[2], full[2]) == stops
+
+
+def test_oracle_explores_every_interleaving():
+    # The program of the test above, with the step bound that cuts only the
+    # reduced search: the oracle explores in full and decides.  (b ends at 1
+    # in every run; a does not.)
+    prog = parse_program(
+        "par { a := 1 - a; b := 0; while (y == 0) { y := 0;"
+        " if (b == 0) { y := 1; b := 0; b := 1 - b; } else { a := 1 - a; } } }"
+        " { y := 0; } { a := 0; y := 0; }")
+    cfg = CheckConfig(0, 0, max_steps=31)
+    assert oracle_partial_equiv(prog, prog, {"b"}, cfg) == \
+        Equivalent(complete=True)
+
+
+@pytest.mark.parametrize("domain", [(-1, 1), (0, 1)])
+def test_reduction_matches_every_interleaving(domain):
+    cfg = CheckConfig(*domain, max_states=300)
+    cut = [props.check_reduction_differential(seed, cfg)
+           for seed in range(150)]
+    # Two thirds of the full searches finish, so those programs compare in
+    # full; the rest still check that reduced violations replay.
+    assert cut.count(False) > 100

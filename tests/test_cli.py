@@ -1,14 +1,22 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equicheck
 from equicheck.cli import main
+from equicheck.generate import ProgramGenerator
 from equicheck.parser import MAX_EXPR_DEPTH, parse
 
+import props
 from conftest import fixture_path
 
 
@@ -244,3 +252,60 @@ def test_oracle_witness_independent_of_hash_seed(tmp_path):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["terminal1"] == {"x": 2, "y": 1}
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every input ends with a documented exit code and no crash
+
+FUZZ_TOKENS = ("x", "y", "v", "0", "1", "-2", "99999999999", ":=", ";", "+",
+               "-", "*", "(", ")", "{", "}", "if", "else", "while", "par",
+               "assert", "true", "false", "==", "!=", "<", ">=", "!", "&&",
+               "||", "#segment", "#outputs", ",", "\n", "//", "@")
+COMMANDS = ("analyze", "encode", "check", "oracle", "verify")
+
+token_text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map(" ".join)
+options = st.tuples(st.integers(-2, 1), st.integers(0, 2), st.integers(1, 60),
+                    st.integers(1, 500), st.booleans()).map(
+    lambda t: ["--domain=%d..%d" % (t[0], t[0] + t[1]), "--max-steps", str(t[2]),
+               "--max-states", str(t[3])] + ["--json"] * t[4])
+
+
+def run_cli(command, texts, options):
+    """Run one command on texts written to temporary files; returns the exit
+    code and what went to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for index, text in enumerate(texts):
+            paths.append(os.path.join(tmp, "in%d.peq" % index))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        args = [command] + paths[:1 if command in ("analyze", "check") else 2]
+        if command == "encode":
+            args += ["--out", os.path.join(tmp, "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args + options)
+    return code, err.getvalue()
+
+
+def assert_no_crash(code, err):
+    assert code in (0, 1, 2, 3)
+    assert "internal error" not in err and "Traceback" not in err, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMMANDS), token_text, token_text, options)
+def test_cli_fuzz_token_streams(command, text1, text2, options):
+    assert_no_crash(*run_cli(command, [text1, text2], options))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(COMMANDS), st.integers(0, 10 ** 6), st.booleans(),
+       st.integers(0, 400), st.one_of(st.just(""), token_text), options)
+def test_cli_fuzz_generated_programs(command, seed, asserts, at, splice, options):
+    # A generated pair with segments, and sometimes tokens spliced into the
+    # modified text at a random place.
+    config = dataclasses.replace(props.SMALL, allow_asserts=asserts)
+    text1, text2 = ProgramGenerator(seed, config).source_pair()
+    text2 = text2[:at] + splice + text2[at:]
+    assert_no_crash(*run_cli(command, [text1, text2], options))
