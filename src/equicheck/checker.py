@@ -289,18 +289,12 @@ class SegmentResult:
     def as_dict(self) -> dict:
         entry = {
             "id": self.segment_id,
-            "verdict": _verdict_name(self.verdict),
+            "verdict": type(self.verdict).__name__,
             "complete": isinstance(self.verdict, NoViolation) and self.verdict.complete,
             "initial_state": None,
             "trace": None,
-            "sets": {
-                "init_set": sorted(self.task.init_set),
-                "check_set": sorted(self.task.check_set),
-                "shared": sorted(self.task.shared),
-                "duplicates": dict(sorted(self.task.duplicates.items())),
-                "summary_original": self.task.summary_original.as_dict(),
-                "summary_modified": self.task.summary_modified.as_dict(),
-            },
+            "sets": {key: value for key, value in self.task.metadata().items()
+                     if key not in ("segment_id", "renaming")},
         }
         if isinstance(self.verdict, Violation):
             entry["initial_state"] = self.verdict.initial.as_dict()
@@ -325,14 +319,6 @@ class PipelineReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2) + "\n"
-
-
-def _verdict_name(verdict: Verdict) -> str:
-    if isinstance(verdict, NoViolation):
-        return "NoViolation"
-    if isinstance(verdict, Violation):
-        return "Violation"
-    return "ResourceExhausted"
 
 
 def trace_as_dicts(trace: Execution) -> list[dict]:

@@ -1,7 +1,8 @@
 """Syntactic usage analyses and their bounded semantic oracles.
 
 The three syntactic sets (modified, used-before-definition, live-after)
-overapproximate their semantic definitions; the oracles enumerate bounded
+overapproximate their semantic definitions; the last two are both answers
+of one liveness analysis, `live_in`.  The oracles enumerate bounded
 executions or syntactic paths and are meant for validating the analyses
 on small programs.
 """
@@ -44,58 +45,37 @@ def modified_vars(prog: Program) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Used before definition
+# Liveness: used before definition, live in and live after
 
 def used_before_def(prog: Program) -> frozenset[str]:
-    """Variables that may be read before being assigned.
+    """Variables that may be read before being assigned: `live_in(prog, ∅)`.
 
-    Forward definite-assignment analysis: a use counts unless the variable
-    is assigned on every syntactic path reaching it.  Assignments inside a
-    parallel statement are never credited as definite, neither for sibling
-    branches nor for the code after the statement.
+    A use counts unless the variable is assigned on every syntactic path
+    reaching it; assignments inside a `par` never count (see `live_in`).
     """
-    ub, _ = _ub_walk(prog, frozenset())
-    return ub
+    return live_in(prog, frozenset())
 
-
-def _ub_walk(prog: Program, defined: frozenset[str]):
-    if isinstance(prog, Empty):
-        return frozenset(), defined
-    if isinstance(prog, Assign):
-        return vars_of_expr(prog.expr) - defined, defined | {prog.var}
-    if isinstance(prog, Assert):
-        return vars_of_expr(prog.cond) - defined, defined
-    if isinstance(prog, If):
-        cond_uses = vars_of_expr(prog.cond) - defined
-        then_ub, then_def = _ub_walk(prog.then_branch, defined)
-        else_ub, else_def = _ub_walk(prog.else_branch, defined)
-        return cond_uses | then_ub | else_ub, then_def & else_def
-    if isinstance(prog, While):
-        cond_uses = vars_of_expr(prog.cond) - defined
-        body_ub, _ = _ub_walk(prog.body, defined)
-        # The body may not run; assignments across iterations only help
-        # later uses, which the single pass already treats as defined.
-        return cond_uses | body_ub, defined
-    if isinstance(prog, Seq):
-        ub = frozenset()
-        for stmt in stmts_of(prog):
-            stmt_ub, defined = _ub_walk(stmt, defined)
-            ub |= stmt_ub
-        return ub, defined
-    if isinstance(prog, Par):
-        ub: frozenset[str] = frozenset()
-        for branch in prog.branches:
-            branch_ub, _ = _ub_walk(branch, defined)
-            ub |= branch_ub
-        return ub, defined  # branch assignments are dropped: coarse but sound
-    raise TypeError("not a program: %r" % (prog,))
-
-
-# ---------------------------------------------------------------------------
-# Live variables
 
 def live_in(prog: Program, live_out: frozenset[str]) -> frozenset[str]:
-    """Backward liveness through a program given the live-out set."""
+    """Backward liveness through a program given the live-out set.
+
+    In gen/kill form (Kildall, POPL 1973), by induction on P,
+    live_in(P, X) = U(P) | (X - D(P)), where U(P) is what P may read before
+    assigning it and D(P) what P assigns on every path:
+    - `v := e`: gen vars(e), kill {v};
+    - `assert b`: gen vars(b), kill nothing;
+    - `if`: gen vars(cond) | U_then | U_else, kill D_then & D_else;
+    - sequence: gen U1 | (U2 - D1), kill D1 | D2;
+    - `par`: gen the union of the branches' U, kill nothing: no branch's
+      assignment is credited to another branch or to the code after it;
+    - `while`: the live set at the loop head is the least L with
+      L = X | vars(cond) | U_body | (L - D_body).  Every solution contains
+      X | vars(cond) | U_body, which is one, since L - D_body is in L.  So
+      the first pass is the fixpoint, and the loop kills nothing.
+    So U(P) = live_in(P, ∅), which is `used_before_def`, and the live set
+    after a segment is `live_in` of what runs after it
+    (`live_after_segment`).
+    """
     if isinstance(prog, Empty):
         return live_out
     if isinstance(prog, Assign):
@@ -107,67 +87,45 @@ def live_in(prog: Program, live_out: frozenset[str]) -> frozenset[str]:
                 | live_in(prog.then_branch, live_out)
                 | live_in(prog.else_branch, live_out))
     if isinstance(prog, While):
-        live = live_out
-        while True:  # fixpoint; grows monotonically, bounded by vars_of
-            updated = live_out | vars_of_expr(prog.cond) | live_in(prog.body, live)
-            if updated == live:
-                return live
-            live = updated
+        return live_out | vars_of_expr(prog.cond) | live_in(prog.body, live_out)
     if isinstance(prog, Seq):
         live = live_out
         for stmt in reversed(stmts_of(prog)):
             live = live_in(stmt, live)
         return live
     if isinstance(prog, Par):
-        live: frozenset[str] = live_out
-        for branch in prog.branches:
-            # No kills credited across branches: union of per-branch liveness.
-            live |= live_in(branch, live_out)
-        return live
+        return live_out.union(*(live_in(b, live_out) for b in prog.branches))
     raise TypeError("not a program: %r" % (prog,))
 
 
 def live_after_segment(source: SourceFile, segment_id: int,
                        outputs: frozenset[str]) -> frozenset[str]:
-    """Live set at the program point just after the marked segment."""
-    body = _segment_body(source, segment_id)
-    found: list[frozenset[str]] = []
+    """Live set at the program point just after the marked segment: the
+    liveness of what runs after its body, with the outputs live at the end.
 
-    def walk(prog: Program, live_out: frozenset[str]) -> frozenset[str]:
-        # Along a sequence the statements come first to last; liveness is
-        # taken last to first.
-        firsts = []
+    What runs after the body is, innermost first, the rest of each
+    enclosing sequence and each enclosing loop, which may run again.  An
+    enclosing `if` adds nothing, and the parser keeps segments out of `par`.
+    """
+    body = _segment_body(source, segment_id)
+    # Depth-first search for the body, without recursion; each node goes
+    # with what runs after it, innermost first.
+    stack = [(source.program, ())]
+    while stack:
+        prog, after = stack.pop()
         while isinstance(prog, Seq) and prog != body:
-            firsts.append(prog.first)
+            stack.append((prog.first, (prog.rest,) + after))
             prog = prog.rest
         if prog == body:
-            found.append(live_out)
-            live = live_in(prog, live_out)
-        elif isinstance(prog, If):
-            live = (vars_of_expr(prog.cond)
-                    | walk(prog.then_branch, live_out)
-                    | walk(prog.else_branch, live_out))
+            live = frozenset(outputs)
+            for part in reversed(after):
+                live = live_in(part, live)
+            return live
+        if isinstance(prog, If):
+            stack += ((prog.else_branch, after), (prog.then_branch, after))
         elif isinstance(prog, While):
-            live = live_out
-            while True:
-                updated = live_out | vars_of_expr(prog.cond) | live_in(prog.body, live)
-                if updated == live:
-                    break
-                live = updated
-            walk(prog.body, live)  # record the segment under the loop fixpoint
-        else:
-            live = live_in(prog, live_out)
-        for first in reversed(firsts):
-            live = walk(first, live)
-        return live
-
-    walk(source.program, frozenset(outputs))
-    if not found:
-        raise UnknownSegment("segment %d not found in program" % segment_id)
-    result: frozenset[str] = frozenset()
-    for live in found:
-        result |= live
-    return result
+            stack.append((prog.body, (prog,) + after))
+    raise UnknownSegment("segment %d not found in program" % segment_id)
 
 
 def _segment_body(source: SourceFile, segment_id: int) -> Program:
@@ -179,14 +137,9 @@ def _segment_body(source: SourceFile, segment_id: int) -> Program:
 
 def summarize_segment(source: SourceFile, segment_id: int,
                       outputs: frozenset[str]) -> UsageSummary:
-    body = _segment_body(source, segment_id)
-    return UsageSummary(
-        vars=vars_of(body),
-        modified=modified_vars(body),
-        used_before_def=used_before_def(body),
-        live_after=live_after_segment(source, segment_id, outputs),
-        segment_id=segment_id,
-    )
+    return summarize_program(_segment_body(source, segment_id),
+                             live_after_segment(source, segment_id, outputs),
+                             segment_id)
 
 
 def summarize_program(prog: Program, live_after: frozenset[str],

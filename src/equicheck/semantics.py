@@ -393,18 +393,18 @@ def executions(prog: Program, sigma0: DataState, max_steps: int,
     """
     results: list[Execution] = []
     complete = True
-
-    def walk(execution: Execution):
-        nonlocal complete
+    # Depth first, in successor order, with an explicit stack, so the
+    # length of an execution does not bound the recursion depth.
+    stack = [Execution(prog, sigma0)]
+    while stack:
+        execution = stack.pop()
         results.append(execution)
         successors = step(execution.final_program, execution.final_state, evaluator)
         if not successors:
-            return
+            continue
         if len(execution) >= max_steps:
             complete = False
-            return
-        for op, prog2, sigma2 in successors:
-            walk(execution.extend(op, prog2, sigma2))
-
-    walk(Execution(prog, sigma0))
+            continue
+        stack += reversed([execution.extend(op, prog2, sigma2)
+                           for op, prog2, sigma2 in successors])
     return results, complete

@@ -14,7 +14,9 @@ from equicheck.checker import (CheckConfig, Equivalent, Inequivalent,
                                NoViolation, Unknown, Violation, _disagreement,
                                _explore, check_program, check_task,
                                oracle_partial_equiv, verify_pair)
-from equicheck.dataflow import (modified_vars_oracle, summarize_program)
+from equicheck.dataflow import (live_after_segment, live_in,
+                                modified_vars_oracle, summarize_program,
+                                used_before_def)
 from equicheck.encoder import (build_rho_switch, build_task, equal_block,
                                fresh_switch, init_block, to_seq,
                                validate_renaming)
@@ -23,8 +25,9 @@ from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse
 from equicheck.semantics import (DataState, executions, initial_states, step,
                                  violates_assertion)
-from equicheck.syntax import (Assert, Empty, Par, Seq, relabel, seq_of,
-                              stmts_of, vars_of)
+from equicheck.syntax import (Assert, Assign, Empty, If, Par, Seq, While,
+                              format_bexpr, nodes, pretty_print, relabel,
+                              seq_of, stmts_of, vars_of, vars_of_expr)
 
 SMALL = GenConfig(max_vars=2, max_stmts=4, max_depth=1, max_loop_bound=2)
 SMALL_ASSERTS = dataclasses.replace(SMALL, allow_asserts=True)
@@ -147,7 +150,6 @@ def check_pipeline_soundness(seed, cfg=None, segment_head="", config=SMALL):
 def check_dataflow_containment(seed):
     from equicheck.dataflow import (live_after_oracle, summarize_segment,
                                     ub_oracle)
-    from equicheck.syntax import pretty_print
 
     gen = ProgramGenerator(seed, GenConfig(max_vars=3, max_stmts=5,
                                            max_depth=2, max_loop_bound=2))
@@ -294,3 +296,152 @@ def check_reduction_differential(seed, cfg, **sizes):
         return True
     assert verdict == full_verdict, seed
     return False
+
+
+# ---------------------------------------------------------------------------
+# Liveness against the three walkers it replaced
+
+def ub_walk_reference(prog, defined):
+    """Forward definite-assignment walk: (variables read while not in
+    `defined`, `defined` plus what `prog` assigns on every path).  A loop
+    and a `par` add nothing to `defined`."""
+    if isinstance(prog, Empty):
+        return frozenset(), defined
+    if isinstance(prog, Assign):
+        return vars_of_expr(prog.expr) - defined, defined | {prog.var}
+    if isinstance(prog, Assert):
+        return vars_of_expr(prog.cond) - defined, defined
+    if isinstance(prog, If):
+        cond_uses = vars_of_expr(prog.cond) - defined
+        then_ub, then_def = ub_walk_reference(prog.then_branch, defined)
+        else_ub, else_def = ub_walk_reference(prog.else_branch, defined)
+        return cond_uses | then_ub | else_ub, then_def & else_def
+    if isinstance(prog, While):
+        cond_uses = vars_of_expr(prog.cond) - defined
+        body_ub, _ = ub_walk_reference(prog.body, defined)
+        return cond_uses | body_ub, defined
+    if isinstance(prog, Seq):
+        ub = frozenset()
+        for stmt in stmts_of(prog):
+            stmt_ub, defined = ub_walk_reference(stmt, defined)
+            ub |= stmt_ub
+        return ub, defined
+    if isinstance(prog, Par):
+        ub = frozenset()
+        for branch in prog.branches:
+            branch_ub, _ = ub_walk_reference(branch, defined)
+            ub |= branch_ub
+        return ub, defined
+    raise TypeError("not a program: %r" % (prog,))
+
+
+def live_in_reference(prog, live_out):
+    """Backward liveness that iterates each loop to its fixpoint."""
+    if isinstance(prog, Empty):
+        return live_out
+    if isinstance(prog, Assign):
+        return (live_out - {prog.var}) | vars_of_expr(prog.expr)
+    if isinstance(prog, Assert):
+        return live_out | vars_of_expr(prog.cond)
+    if isinstance(prog, If):
+        return (vars_of_expr(prog.cond)
+                | live_in_reference(prog.then_branch, live_out)
+                | live_in_reference(prog.else_branch, live_out))
+    if isinstance(prog, While):
+        live = live_out
+        while True:
+            updated = (live_out | vars_of_expr(prog.cond)
+                       | live_in_reference(prog.body, live))
+            if updated == live:
+                return live
+            live = updated
+    if isinstance(prog, Seq):
+        live = live_out
+        for stmt in reversed(stmts_of(prog)):
+            live = live_in_reference(stmt, live)
+        return live
+    if isinstance(prog, Par):
+        live = live_out
+        for branch in prog.branches:
+            live |= live_in_reference(branch, live_out)
+        return live
+    raise TypeError("not a program: %r" % (prog,))
+
+
+def live_after_reference(source, segment_id, outputs):
+    """Live set after a segment by one backward walk of the whole program
+    that records the live-out set wherever it meets the body, with each
+    enclosing loop at its fixpoint."""
+    body = source.segments[segment_id]
+    found = []
+
+    def walk(prog, live_out):
+        firsts = []
+        while isinstance(prog, Seq) and prog != body:
+            firsts.append(prog.first)
+            prog = prog.rest
+        if prog == body:
+            found.append(live_out)
+            live = live_in_reference(prog, live_out)
+        elif isinstance(prog, If):
+            live = (vars_of_expr(prog.cond)
+                    | walk(prog.then_branch, live_out)
+                    | walk(prog.else_branch, live_out))
+        elif isinstance(prog, While):
+            live = live_in_reference(prog, live_out)
+            walk(prog.body, live)
+        else:
+            live = live_in_reference(prog, live_out)
+        for first in reversed(firsts):
+            live = walk(first, live)
+        return live
+
+    walk(source.program, frozenset(outputs))
+    assert found, segment_id
+    return frozenset().union(*found)
+
+
+LIVENESS_GEN = GenConfig(max_vars=3, max_stmts=5, max_depth=2,
+                         max_loop_bound=2, allow_asserts=True)
+
+
+def liveness_source(seed):
+    """A program whose segment sits in a `while`, an `if` or a plain
+    sequence by seed mod 3, and on odd seeds one block deeper in a random
+    one of them; every block of context may hold a `par`, and asserts are
+    on."""
+    gen = ProgramGenerator(seed, LIVENESS_GEN)
+    rng = gen.rng
+
+    def context():
+        return pretty_print(gen.block(4, 1, True))
+
+    text = "#segment 1 {\n%s}\n" % pretty_print(gen.program())
+    kinds = [("while", "if", "seq")[seed % 3]]
+    if seed % 2:
+        kinds.append(rng.choice(["while", "if", "seq"]))
+    for kind in kinds:
+        text = context() + text + context()
+        if kind == "while":
+            text = "while (%s) {\n%s}\n" % (format_bexpr(gen.bexpr()), text)
+        elif kind == "if":
+            text = ("if (%s) {\n%s} else {\n%s}\n"
+                    % (format_bexpr(gen.bexpr()), text, context()))
+    return parse("#outputs x;\n" + context() + text + context())
+
+
+def check_liveness_against_references(seed):
+    """`used_before_def` and `live_in` on every subprogram, and
+    `live_after_segment`, equal the walkers they replaced, for live-out
+    sets ∅, the outputs and every variable."""
+    src = liveness_source(seed)
+    everything = vars_of(src.program)
+    for live_out in (frozenset(), frozenset(src.outputs), everything):
+        for node in nodes(src.program):
+            assert live_in(node, live_out) == live_in_reference(node, live_out), (
+                seed, node, live_out)
+        assert (live_after_segment(src, 1, live_out)
+                == live_after_reference(src, 1, live_out)), (seed, live_out)
+    for node in nodes(src.program):
+        assert used_before_def(node) == ub_walk_reference(node, frozenset())[0], (
+            seed, node)

@@ -8,6 +8,8 @@ from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse, parse_program
 from equicheck.syntax import pretty_print
 
+import props
+
 
 DOMAIN = range(-1, 2)
 
@@ -81,7 +83,32 @@ while (i < 3) {
 """)
     live = live_after_segment(src, 1, frozenset({"out"}))
     # t feeds out, i controls the loop, out accumulates across iterations.
-    assert {"t", "i", "out"} <= live
+    assert live == {"t", "i", "out"}
+
+
+def test_live_after_segment_inside_if_inside_loop():
+    src = parse("""#outputs out;
+i := 0;
+while (i < 3) {
+  if (i == 1) {
+    #segment 1 { t := i; }
+  } else {
+    t := w;
+  }
+  out := out + t;
+  i := i + 1;
+}
+""")
+    # w is read only on the next iteration's else branch.
+    assert live_after_segment(src, 1, frozenset({"out"})) == {"t", "i", "out", "w"}
+
+
+def test_live_after_segment_with_long_context():
+    context = "".join("v%d := v%d + 1;\n" % (k % 7, k % 5) for k in range(5000))
+    src = parse("#outputs v0;\n%s#segment 1 { t := v1; }\n%sv0 := t;\n"
+                % (context, context))
+    assert live_after_segment(src, 1, frozenset(src.outputs)) == {
+        "t", "v0", "v1", "v2", "v3", "v4"}
 
 
 def test_two_loop_fixture_summaries(fixtures):
@@ -152,3 +179,12 @@ def test_containment_random_programs(seed):
     except IncompleteExploration as exc:
         sem_live = exc.partial
     assert sem_live <= summary.live_after
+
+
+# ---------------------------------------------------------------------------
+# Against the walkers that `live_in` replaced
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_liveness_equals_reference_walkers(chunk):
+    for seed in range(chunk * 150, (chunk + 1) * 150):
+        props.check_liveness_against_references(seed)

@@ -5,9 +5,10 @@ import pytest
 from equicheck.dataflow import modified_vars
 from equicheck.generate import GenConfig, ProgramGenerator
 from equicheck.parser import parse_program
-from equicheck.semantics import (DataState, EMPTY_STATE, SYNTACTIC, eval_aexpr,
-                                 eval_bexpr, executions, initial_states,
-                                 rename_state, step, violates_assertion)
+from equicheck.semantics import (CONCRETE, DataState, EMPTY_STATE, Execution,
+                                 SYNTACTIC, eval_aexpr, eval_bexpr,
+                                 executions, initial_states, rename_state,
+                                 step, violates_assertion)
 from equicheck.syntax import (Empty, Par, RenamingFn, Var, rename_program,
                               vars_of)
 
@@ -170,6 +171,43 @@ def test_syntactic_paths_constant_guard_decided():
     paths, complete = executions(prog, EMPTY_STATE, 10, SYNTACTIC)
     assert complete
     assert all(not isinstance(p.final_program, Empty) for p in paths)
+
+
+def test_executions_of_a_long_run():
+    prog = parse_program("c := 600; while (c > 0) { c := c - 1; }")
+    execs, complete = executions(prog, DataState(), max_steps=5000)
+    assert complete
+    assert [len(e) for e in execs] == list(range(len(execs)))
+    assert execs[-1].terminated_normally() and execs[-1].final_state == state()
+
+
+def _executions_recursive(prog, sigma0, max_steps, evaluator):
+    """The depth-first enumeration by recursion, one call per step."""
+    results, complete = [], True
+
+    def walk(execution):
+        nonlocal complete
+        results.append(execution)
+        successors = step(execution.final_program, execution.final_state, evaluator)
+        if successors and len(execution) >= max_steps:
+            complete = False
+        elif successors:
+            for op, prog2, sigma2 in successors:
+                walk(execution.extend(op, prog2, sigma2))
+
+    walk(Execution(prog, sigma0))
+    return results, complete
+
+
+@pytest.mark.parametrize("evaluator", [CONCRETE, SYNTACTIC])
+def test_executions_order_and_flag_match_recursion(evaluator):
+    for seed in range(60):
+        prog = ProgramGenerator(seed, GenConfig(max_vars=2, max_stmts=4,
+                                                allow_asserts=True)).program()
+        sigma0 = DataState({"x": seed % 3 - 1})
+        for max_steps in (8, 80):
+            assert (executions(prog, sigma0, max_steps, evaluator)
+                    == _executions_recursive(prog, sigma0, max_steps, evaluator))
 
 
 # ---------------------------------------------------------------------------
